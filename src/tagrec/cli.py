@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .encoder import EncoderConfig
+from .encoder import POOLING_STRATEGIES, EncoderConfig
 from .eval import (
     build_eval_instances,
     cliffs_delta,
@@ -46,7 +46,7 @@ from .model import (
     predict_top_k,
     save_checkpoint,
 )
-from .tokenizer import Tokenizer, train_tokenizer
+from .tokenizer import TRUNCATION_STRATEGIES, Tokenizer, train_tokenizer
 from .train import TrainConfig, build_dataset, train
 from .vocab import TagVocabulary, build_tag_vocab, filter_posts
 
@@ -75,72 +75,88 @@ def _setup_logging(quiet: bool) -> None:
     root.setLevel(logging.ERROR if quiet else logging.INFO)
 
 
-INGEST_DEFAULTS = {"dump": None, "out_dir": None, "workers": 1}
-BUILD_VOCAB_DEFAULTS = {"corpus": None, "out_dir": None, "theta": 50}
-TOKENIZER_TRAIN_DEFAULTS = {"corpus": None, "out_dir": None, "vocab_size": 8192}
-TRAIN_DEFAULTS = {
-    "corpus": None,
-    "vocab": None,
-    "tokenizer": None,
-    "out_dir": None,
-    "components": "title,description,code",
-    "share_weights": False,
-    "pooling": "mean",
-    "layers": 2,
-    "heads": 4,
-    "model_dim": 128,
-    "ffn_dim": 512,
-    "title_len": 100,
-    "description_len": 512,
-    "code_len": 512,
-    "truncation": "head_only",
-    "dropout": 0.0,
-    "batch_size": 64,
-    "lr": 7e-5,
-    "epochs": 1,
-    "seed": 0,
-    "weight_decay": 0.0,
-    "warmup_steps": 0,
-    "max_grad_norm": 0.0,
-    "test_count": 0,
+REQUIRED = object()
+
+# One row per setting: default (or REQUIRED), help text, extra add_argument
+# keywords. The name is the config-file key; the flag is --name-with-dashes.
+SETTINGS: dict[str, tuple[object, str, dict]] = {
+    "dump": (REQUIRED, "Posts.xml path", {}),
+    "corpus": (REQUIRED, "corpus JSONL", {}),
+    "test_corpus": (REQUIRED, "held-out corpus JSONL", {}),
+    "vocab": (REQUIRED, "tag vocabulary JSON", {}),
+    "tokenizer": (REQUIRED, "tokenizer JSON", {}),
+    "checkpoint": (REQUIRED, "model checkpoint", {}),
+    "out_dir": (REQUIRED, "output directory", {}),
+    "theta": (50, "rare-tag threshold: keep count >= theta", {"type": int}),
+    "vocab_size": (8192, "target vocabulary size", {"type": int}),
+    "components": (",".join(COMPONENT_ORDER), "comma list of post components to encode", {}),
+    "share_weights": (False, "one encoder shared by all components", {"action": argparse.BooleanOptionalAction}),
+    "pooling": ("mean", "sequence pooling", {"choices": POOLING_STRATEGIES}),
+    "layers": (2, "encoder layers", {"type": int}),
+    "heads": (4, "attention heads", {"type": int}),
+    "model_dim": (128, "model width", {"type": int}),
+    "ffn_dim": (512, "feed-forward width", {"type": int}),
+    "title_len": (100, "title sequence length", {"type": int}),
+    "description_len": (512, "description sequence length", {"type": int}),
+    "code_len": (512, "code sequence length", {"type": int}),
+    "truncation": ("head_only", "overflow handling", {"choices": TRUNCATION_STRATEGIES}),
+    "dropout": (0.0, "dropout rate", {"type": float}),
+    "batch_size": (64, "posts per step", {"type": int}),
+    "lr": (7e-5, "initial learning rate", {"type": float}),
+    "epochs": (1, "passes over the data", {"type": int}),
+    "seed": (0, "seed for init, shuffling, dropout and sampling", {"type": int}),
+    "weight_decay": (0.0, "decoupled weight decay", {"type": float}),
+    "warmup_steps": (0, "linear warmup steps", {"type": int}),
+    "max_grad_norm": (0.0, "global gradient norm cap, 0 disables", {"type": float}),
+    "test_count": (0, "newest posts held out to test.jsonl", {"type": int}),
+    "ks": ("1,2,3,4,5", "comma list of cutoffs", {}),
+    "post_json": (None, "JSON file with title/description/code", {}),
+    "title": ("", "post title", {}),
+    "description": ("", "post description", {}),
+    "code": ("", "post code", {}),
+    "k": (5, "number of tags to recommend", {"type": int}),
+    "sample_n": (2000, "posts sampled with replacement", {"type": int}),
+    "repeats": (5, "timing passes over the sample", {"type": int}),
+    "a": (REQUIRED, "first per-instance CSV", {}),
+    "b": (REQUIRED, "second per-instance CSV", {}),
+    "column": ("f1@5", "metric column to compare", {}),
+    "out": (None, "also write the result JSON here", {}),
 }
-EVALUATE_DEFAULTS = {
-    "corpus": None,
-    "checkpoint": None,
-    "vocab": None,
-    "tokenizer": None,
-    "out_dir": None,
-    "ks": "1,2,3,4,5",
+
+TRAIN_SETTINGS = (
+    "corpus", "vocab", "tokenizer", "out_dir", "components", "share_weights", "pooling",
+    "layers", "heads", "model_dim", "ffn_dim", "title_len", "description_len", "code_len",
+    "truncation", "dropout", "batch_size", "lr", "epochs", "seed", "weight_decay",
+    "warmup_steps", "max_grad_norm",
+)
+
+# One row per subcommand: help line and the settings it takes, in flag order.
+# main dispatches "build-vocab" to cmd_build_vocab, and so on.
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "ingest": ("parse a Posts.xml dump into a JSONL corpus", ("dump", "out_dir")),
+    "build-vocab": ("build the tag vocabulary and filter the corpus", ("corpus", "out_dir", "theta")),
+    "tokenizer-train": ("train the byte-level BPE tokenizer", ("corpus", "out_dir", "vocab_size")),
+    "train": ("train a model and write a checkpoint", (*TRAIN_SETTINGS, "test_count")),
+    "evaluate": (
+        "score a checkpoint on a test corpus",
+        ("corpus", "checkpoint", "vocab", "tokenizer", "out_dir", "ks"),
+    ),
+    "predict": (
+        "recommend tags for one post",
+        ("checkpoint", "vocab", "tokenizer", "post_json", "title", "description", "code", "k"),
+    ),
+    "ablate": ("train and score leave-one-component-out variants", (*TRAIN_SETTINGS, "test_corpus")),
+    "bench": (
+        "measure single-post prediction latency",
+        ("checkpoint", "vocab", "tokenizer", "corpus", "out_dir", "sample_n", "repeats", "seed"),
+    ),
+    "compare": ("paired significance test between two per-instance CSVs", ("a", "b", "column", "out")),
 }
-PREDICT_DEFAULTS = {
-    "checkpoint": None,
-    "vocab": None,
-    "tokenizer": None,
-    "post_json": None,
-    "title": "",
-    "description": "",
-    "code": "",
-    "k": 5,
-}
-ABLATE_DEFAULTS = {k: v for k, v in TRAIN_DEFAULTS.items() if k != "test_count"} | {
-    "test_corpus": None
-}
-BENCH_DEFAULTS = {
-    "checkpoint": None,
-    "vocab": None,
-    "tokenizer": None,
-    "corpus": None,
-    "out_dir": None,
-    "sample_n": 2000,
-    "repeats": 5,
-    "seed": 0,
-}
-COMPARE_DEFAULTS = {"a": None, "b": None, "column": "f1@5", "out": None}
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Built-in defaults < config file < explicitly passed flags."""
-    effective = dict(defaults)
+def _merge_options(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    """Built-in defaults < config file < explicitly passed flags; then check required settings."""
+    effective = {k: None if SETTINGS[k][0] is REQUIRED else SETTINGS[k][0] for k in names}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
@@ -151,22 +167,19 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
             raise ArtifactError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ArtifactError("config file must contain a JSON object")
-        unknown = sorted(set(overrides) - set(defaults))
+        unknown = sorted(set(overrides) - set(names))
         if unknown:
             raise ArtifactError(f"config file has unknown settings for this command: {unknown}")
         effective.update(overrides)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in names:
+        value = getattr(args, key)
         if value is not None:
             effective[key] = value
-    return effective
-
-
-def _require(options: dict, *keys: str) -> None:
-    missing = [k for k in keys if options.get(k) in (None, "")]
+    missing = [k for k in names if SETTINGS[k][0] is REQUIRED and effective[k] in (None, "")]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ArtifactError(f"missing required settings: {flags}")
+    return effective
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -264,14 +277,12 @@ def _train_config(options: dict) -> TrainConfig:
     )
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    options = _merge_options(args, INGEST_DEFAULTS)
-    _require(options, "dump", "out_dir")
+def cmd_ingest(options: dict) -> int:
     dump = _require_file(options["dump"], "dump")
     out = _out_dir(options)
     stats = ParseStats()
     raw_posts = list(parse_dump(dump, stats))
-    posts = decompose_all(raw_posts, workers=int(options["workers"]))
+    posts = decompose_all(raw_posts)
     count = write_corpus(posts, out / "corpus.jsonl")
     write_json(stats.to_json_dict(), out / "ingest_stats.json")
     _echo_run_config("ingest", options, out)
@@ -279,9 +290,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_build_vocab(args: argparse.Namespace) -> int:
-    options = _merge_options(args, BUILD_VOCAB_DEFAULTS)
-    _require(options, "corpus", "out_dir")
+def cmd_build_vocab(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
     vocab = build_tag_vocab(posts, theta=int(options["theta"]))
@@ -302,9 +311,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tokenizer_train(args: argparse.Namespace) -> int:
-    options = _merge_options(args, TOKENIZER_TRAIN_DEFAULTS)
-    _require(options, "corpus", "out_dir")
+def cmd_tokenizer_train(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
     text = "\n".join(f"{p.title}\n{p.description}\n{p.code}" for p in posts)
@@ -315,9 +322,7 @@ def cmd_tokenizer_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    options = _merge_options(args, TRAIN_DEFAULTS)
-    _require(options, "corpus", "vocab", "tokenizer", "out_dir")
+def cmd_train(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
@@ -344,9 +349,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, EVALUATE_DEFAULTS)
-    _require(options, "corpus", "checkpoint", "vocab", "tokenizer", "out_dir")
+def cmd_evaluate(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
@@ -367,9 +370,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    options = _merge_options(args, PREDICT_DEFAULTS)
-    _require(options, "checkpoint", "vocab", "tokenizer")
+def cmd_predict(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
@@ -390,9 +391,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, ABLATE_DEFAULTS)
-    _require(options, "corpus", "test_corpus", "vocab", "tokenizer", "out_dir")
+def cmd_ablate(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     train_posts = filter_posts(_load_corpus(options["corpus"]), vocab)
@@ -435,9 +434,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    options = _merge_options(args, BENCH_DEFAULTS)
-    _require(options, "checkpoint", "vocab", "tokenizer", "corpus", "out_dir")
+def cmd_bench(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
@@ -468,9 +465,7 @@ def _read_metric_column(path: str | Path, column: str) -> list[float]:
             raise ArtifactError(f"{path}: non-numeric value in column {column!r}") from exc
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    options = _merge_options(args, COMPARE_DEFAULTS)
-    _require(options, "a", "b")
+def cmd_compare(options: dict) -> int:
     column = options["column"]
     a = _read_metric_column(options["a"], column)
     b = _read_metric_column(options["b"], column)
@@ -491,127 +486,39 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON file with settings for this command (flags win)")
-    parser.add_argument("--quiet", action="store_true", help="only log errors")
-
-
-def _add_train_flags(parser: argparse.ArgumentParser, include_test_count: bool) -> None:
-    parser.add_argument("--corpus", default=None, help="training corpus JSONL (default: required)")
-    parser.add_argument("--vocab", default=None, help="tag vocabulary JSON (default: required)")
-    parser.add_argument("--tokenizer", default=None, help="tokenizer JSON (default: required)")
-    parser.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    parser.add_argument("--components", default=None, help="comma list among title,description,code (default: all three)")
-    parser.add_argument("--share-weights", action=argparse.BooleanOptionalAction, default=None, help="one encoder shared by all components (default: off)")
-    parser.add_argument("--pooling", default=None, choices=["mean", "cls_first", "max"], help="sequence pooling (default: mean)")
-    parser.add_argument("--layers", type=int, default=None, help="encoder layers (default: 2)")
-    parser.add_argument("--heads", type=int, default=None, help="attention heads (default: 4)")
-    parser.add_argument("--model-dim", type=int, default=None, help="model width (default: 128)")
-    parser.add_argument("--ffn-dim", type=int, default=None, help="feed-forward width (default: 512)")
-    parser.add_argument("--title-len", type=int, default=None, help="title sequence length (default: 100)")
-    parser.add_argument("--description-len", type=int, default=None, help="description sequence length (default: 512)")
-    parser.add_argument("--code-len", type=int, default=None, help="code sequence length (default: 512)")
-    parser.add_argument("--truncation", default=None, choices=["head_only", "tail_only"], help="overflow handling (default: head_only)")
-    parser.add_argument("--dropout", type=float, default=None, help="dropout rate (default: 0.0)")
-    parser.add_argument("--batch-size", type=int, default=None, help="posts per step (default: 64)")
-    parser.add_argument("--lr", type=float, default=None, help="initial learning rate (default: 7e-5)")
-    parser.add_argument("--epochs", type=int, default=None, help="passes over the data (default: 1)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for init, shuffling, dropout (default: 0)")
-    parser.add_argument("--weight-decay", type=float, default=None, help="decoupled weight decay (default: 0.0)")
-    parser.add_argument("--warmup-steps", type=int, default=None, help="linear warmup steps (default: 0)")
-    parser.add_argument("--max-grad-norm", type=float, default=None, help="global gradient norm cap, 0 disables (default: 0)")
-    if include_test_count:
-        parser.add_argument("--test-count", type=int, default=None, help="newest posts held out to test.jsonl (default: 0)")
+def _help(name: str) -> str:
+    default, text, _ = SETTINGS[name]
+    if default is None:
+        return text
+    if default is REQUIRED:
+        shown = "required"
+    elif isinstance(default, bool):
+        shown = "on" if default else "off"
+    else:
+        shown = str(default) or "empty"
+    return f"{text} (default: {shown})"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tagrec", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tagrec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse a Posts.xml dump into a JSONL corpus")
-    _add_common(p)
-    p.add_argument("--dump", default=None, help="Posts.xml path (default: required)")
-    p.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    p.add_argument("--workers", type=int, default=None, help="decomposition processes (default: 1)")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-vocab", help="build the tag vocabulary and filter the corpus")
-    _add_common(p)
-    p.add_argument("--corpus", default=None, help="corpus JSONL (default: required)")
-    p.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    p.add_argument("--theta", type=int, default=None, help="rare-tag threshold: keep count >= theta (default: 50)")
-    p.set_defaults(func=cmd_build_vocab)
-
-    p = sub.add_parser("tokenizer-train", help="train the byte-level BPE tokenizer")
-    _add_common(p)
-    p.add_argument("--corpus", default=None, help="corpus JSONL (default: required)")
-    p.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    p.add_argument("--vocab-size", type=int, default=None, help="target vocabulary size (default: 8192)")
-    p.set_defaults(func=cmd_tokenizer_train)
-
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    _add_common(p)
-    _add_train_flags(p, include_test_count=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a checkpoint on a test corpus")
-    _add_common(p)
-    p.add_argument("--corpus", default=None, help="test corpus JSONL (default: required)")
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (default: required)")
-    p.add_argument("--vocab", default=None, help="tag vocabulary JSON (default: required)")
-    p.add_argument("--tokenizer", default=None, help="tokenizer JSON (default: required)")
-    p.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    p.add_argument("--ks", default=None, help="comma list of cutoffs (default: 1,2,3,4,5)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("predict", help="recommend tags for one post")
-    _add_common(p)
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (default: required)")
-    p.add_argument("--vocab", default=None, help="tag vocabulary JSON (default: required)")
-    p.add_argument("--tokenizer", default=None, help="tokenizer JSON (default: required)")
-    p.add_argument("--post-json", default=None, help="JSON file with title/description/code")
-    p.add_argument("--title", default=None, help="post title (default: empty)")
-    p.add_argument("--description", default=None, help="post description (default: empty)")
-    p.add_argument("--code", default=None, help="post code (default: empty)")
-    p.add_argument("--k", type=int, default=None, help="number of tags to recommend (default: 5)")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("ablate", help="train and score leave-one-component-out variants")
-    _add_common(p)
-    _add_train_flags(p, include_test_count=False)
-    p.add_argument("--test-corpus", default=None, help="held-out corpus JSONL (default: required)")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("bench", help="measure single-post prediction latency")
-    _add_common(p)
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (default: required)")
-    p.add_argument("--vocab", default=None, help="tag vocabulary JSON (default: required)")
-    p.add_argument("--tokenizer", default=None, help="tokenizer JSON (default: required)")
-    p.add_argument("--corpus", default=None, help="corpus to sample posts from (default: required)")
-    p.add_argument("--out-dir", default=None, help="output directory (default: required)")
-    p.add_argument("--sample-n", type=int, default=None, help="posts sampled with replacement (default: 2000)")
-    p.add_argument("--repeats", type=int, default=None, help="timing passes over the sample (default: 5)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (default: 0)")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("compare", help="paired significance test between two per-instance CSVs")
-    _add_common(p)
-    p.add_argument("--a", default=None, help="first per-instance CSV (default: required)")
-    p.add_argument("--b", default=None, help="second per-instance CSV (default: required)")
-    p.add_argument("--column", default=None, help="metric column to compare (default: f1@5)")
-    p.add_argument("--out", default=None, help="also write the result JSON here")
-    p.set_defaults(func=cmd_compare)
-
+    for command, (help_line, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", default=None, help="JSON file with settings for this command (flags win)")
+        p.add_argument("--quiet", action="store_true", help="only log errors")
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), default=None, help=_help(name), **SETTINGS[name][2])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _setup_logging(getattr(args, "quiet", False))
+    args = build_parser().parse_args(argv)
+    _setup_logging(args.quiet)
     try:
-        return args.func(args)
+        options = _merge_options(args, COMMANDS[args.command][1])
+        # Looked up per call, so a wrapped cmd_* module attribute is the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](options)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # Bad inputs or artifacts (every validation error subclasses ValueError).
         _emit_error(exc)

@@ -216,19 +216,9 @@ def decompose(post: RawPost) -> DecomposedPost:
     )
 
 
-def decompose_all(posts: Sequence[RawPost], workers: int = 1) -> list[DecomposedPost]:
-    """Decompose a batch, optionally fanning out across processes.
-
-    Output order always matches input order regardless of worker count.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(posts) < 2 * workers:
-        return [decompose(p) for p in posts]
-    from multiprocessing import Pool
-
-    with Pool(workers) as pool:
-        return list(pool.imap(decompose, posts, chunksize=64))
+def decompose_all(posts: Iterable[RawPost]) -> list[DecomposedPost]:
+    """Decompose a batch of raw posts, keeping their order."""
+    return [decompose(p) for p in posts]
 
 
 def _parse_date(value: str) -> datetime:

@@ -9,7 +9,6 @@ parameter buffer bit-exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -179,7 +178,8 @@ class TripletModel:
     def predict(self, seqs: dict[str, TokenSequence]) -> Prediction:
         """Score one post; ranking breaks probability ties by tag index."""
         batch = {c: (seqs[c].ids[None, :], seqs[c].mask[None, :]) for c in self.config.components}
-        probs = self.forward(batch).data[0]
+        with T.no_grad():
+            probs = self.forward(batch).data[0]
         ranked = np.argsort(-probs, kind="stable")
         return Prediction(probabilities=probs, ranked=ranked, tags=self.vocab.tags)
 
@@ -205,7 +205,7 @@ def save_checkpoint(model: TripletModel, path: str | Path) -> None:
     if model.dtype != np.float32:
         raise CheckpointError(f"checkpoints are float32-only, model is {model.dtype}")
     config_blob = json.dumps(model.config.to_json_dict(), separators=(",", ":")).encode("utf-8")
-    vocab_digest = hashlib.sha256(model.vocab.to_json().encode("utf-8")).digest()
+    vocab_digest = bytes.fromhex(model.vocab.content_hash())
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -243,7 +243,7 @@ def load_checkpoint(path: str | Path, vocab: TagVocabulary) -> TripletModel:
     config = ModelConfig.from_json_dict(payload)
 
     stored_digest = take(32, "vocabulary hash")
-    actual_digest = hashlib.sha256(vocab.to_json().encode("utf-8")).digest()
+    actual_digest = bytes.fromhex(vocab.content_hash())
     if stored_digest != actual_digest:
         raise VocabHashMismatchError(
             f"checkpoint vocabulary hash {stored_digest.hex()[:12]} does not match "

@@ -13,11 +13,24 @@ bad wiring fails at the call site instead of deep inside a matmul.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block; ops return tensors without parents."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeError(ValueError):
@@ -29,21 +42,15 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(
-        self,
-        data: np.ndarray | float | int | Sequence,
-        requires_grad: bool = False,
-        _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[], None] | None = None,
-    ) -> None:
+    def __init__(self, data: np.ndarray | float | int | Sequence, requires_grad: bool = False) -> None:
         arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward: Callable[[Tensor], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,12 +120,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable[[Tensor], None]) -> Tensor:
-    """Wrap op output; graph edges are recorded only when a parent needs them."""
-    needs = any(p.requires_grad for p in parents)
+    """Wrap op output; graph edges are recorded only when a parent needs them.
+
+    backward_fn is stored unbound and called with the node, so a node never
+    refers to itself and its graph is freed as soon as the loss is dropped.
+    """
+    needs = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
         out._parents = parents
-        out._backward = lambda: backward_fn(out)
+        out._backward = backward_fn
     return out
 
 
@@ -265,19 +276,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(f"embedding: id out of range for table {table.shape}: [{ids.min()}, {ids.max()}]")
     out_data = table.data[ids]
 
+    # np.add.at writes straight into table.grad, so bypass _accumulate.
     def bwd(out: Tensor) -> None:
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         d = table.shape[1]
         np.add.at(table.grad, ids.reshape(-1), out.grad.reshape(-1, d))
 
-    # np.add.at writes straight into table.grad, so bypass _accumulate.
-    needs = table.requires_grad
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        out._parents = (table,)
-        out._backward = lambda: bwd(out)
-    return out
+    return _make(out_data, (table,), bwd)
 
 
 def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -422,7 +428,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo_order(loss)):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node)
 
 
 def finite_difference_gradient(

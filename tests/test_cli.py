@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tagrec.cli import main
+from tagrec.cli import SETTINGS, main
 from tagrec.ingest import read_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -351,6 +353,43 @@ class TestLogging:
         main(["ingest", "--quiet", "--dump", DUMP, "--out-dir", str(tmp_path / "out")])
         levels = {json.loads(l)["level"] for l in capsys.readouterr().err.splitlines() if l.strip()}
         assert "info" not in levels
+
+
+SUBCOMMANDS = [
+    "ingest", "build-vocab", "tokenizer-train", "train", "evaluate",
+    "predict", "ablate", "bench", "compare",
+]
+
+
+def _listed_settings(command: str, capsys) -> set[str]:
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+    flags -= {"help", "config", "quiet"}
+    flags -= {f for f in flags if f.startswith("no-") and f[3:] in flags}
+    return {f.replace("-", "_") for f in flags}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_lists_exactly_the_config_keys(command, tmp_path, capsys):
+    listed = _listed_settings(command, capsys)
+    # Offer every key any command knows, plus the removed "workers"; the
+    # command names the ones it rejects, so the rest are the ones it accepts.
+    candidates = set().union(*(_listed_settings(c, capsys) for c in SUBCOMMANDS), SETTINGS, {"workers"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict.fromkeys(candidates)))
+    assert main([command, "--quiet", "--config", str(config)]) == 2
+    message = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
+    assert message.startswith("config file has unknown settings")
+    unknown = set(ast.literal_eval(message.split(": ", 1)[1]))
+    assert candidates - unknown == listed
+
+
+def test_ingest_workers_flag_is_gone():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ingest", "--quiet", "--dump", DUMP, "--out-dir", "unused", "--workers", "2"])
+    assert exit_info.value.code == 2
 
 
 def test_module_entry_point_reports_version():

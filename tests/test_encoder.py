@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +252,24 @@ class TestGradients:
         T.total(enc.forward(ids, mask)).backward()
         for name, param in enc.parameters():
             assert param.grad is not None, name
+
+    def test_graph_is_freed_without_the_cyclic_collector(self, rng):
+        # A node must not refer to itself: dropping the loss frees the whole
+        # graph by reference counting. Tensor has __slots__ and no __weakref__,
+        # so watch an intermediate node's ndarray instead.
+        cfg = EncoderConfig(**TINY)
+        enc = Encoder(cfg, seed=2)
+        ids, mask = _batch(rng, cfg, [6, 4], seq=6)
+        gc.disable()
+        try:
+            loss = T.total(enc.forward(ids, mask))
+            loss.backward()
+            hidden = weakref.ref(loss._parents[0]._parents[0].data)
+            assert hidden() is not None
+            del loss
+            assert hidden() is None
+        finally:
+            gc.enable()
 
 
 def test_encode_component_is_single_row_forward():

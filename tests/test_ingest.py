@@ -20,7 +20,6 @@ from tagrec.ingest import (
     chronological_split,
     decode_entities,
     decompose,
-    decompose_all,
     parse_dump,
     read_corpus,
     write_corpus,
@@ -155,13 +154,6 @@ class TestDecompose:
     def test_code_matching_is_non_greedy_across_blocks(self):
         post = decompose(raw("<pre><code>a</code></pre><pre><code>b</code></pre>"))
         assert post.code == "a\nb"
-
-    def test_workers_preserve_order(self):
-        posts = [raw(f"<p>n{i}</p><pre><code>c{i}</code></pre>", id=i) for i in range(30)]
-        serial = decompose_all(posts, workers=1)
-        parallel = decompose_all(posts, workers=3)
-        assert serial == parallel
-        assert [p.id for p in parallel] == list(range(30))
 
 
 class TestDecodeEntities:

@@ -115,6 +115,19 @@ class TestPredict:
         assert np.all(pred.probabilities == 0.5)
         assert pred.ranked.tolist() == [0, 1, 2, 3, 4]
 
+    def test_predict_builds_no_graph(self, monkeypatch):
+        model = self._flat_head_model([0.1, 0.9])
+        forward = model.forward
+        outputs = []
+
+        def recording_forward(batch):
+            outputs.append(forward(batch))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        model.predict({"title": make_sequence([5], max_len=8)})
+        assert not outputs[0].requires_grad and outputs[0]._parents == ()
+
     def test_top_k_names_and_bounds(self):
         model = self._flat_head_model([0.1, 0.9, -0.3, 0.5])
         pred = model.predict({"title": make_sequence([5], max_len=8)})

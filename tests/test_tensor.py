@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagrec import tensor as T
@@ -176,6 +176,15 @@ class TestGraphMechanics:
         assert out._parents == ()
         assert not out.requires_grad
 
+    def test_no_grad_block_records_no_graph_and_restores(self):
+        w = leaf(np.ones((2, 2)))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                out = T.embedding(w, np.array([0, 1])) @ w
+                raise RuntimeError
+        assert out._parents == () and not out.requires_grad
+        assert (w @ w).requires_grad
+
     def test_grad_accumulates_across_backward_calls(self):
         x = leaf([1.0])
         T.backward(T.total(x * 2.0))
@@ -235,10 +244,13 @@ def test_softmax_rows_are_distributions(values):
         lambda v: max(v) - min(v) > 1e-3
     )
 )
+@example(values=[0.0, 0.125])
 def test_layer_norm_standardizes_rows(values):
-    y = T.layer_norm(T.Tensor(np.array([values]))).data
+    # eps sits inside the square root, so the output variance is var / (var + eps), not 1.
+    x = np.array([values])
+    y = T.layer_norm(T.Tensor(x), eps=1e-5).data
     np.testing.assert_allclose(y.mean(), 0.0, atol=1e-5)
-    np.testing.assert_allclose(y.var(), 1.0, atol=1e-3)
+    np.testing.assert_allclose(y.var(), x.var() / (x.var() + 1e-5), rtol=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
