@@ -6,7 +6,7 @@ training, and a ranking-metrics evaluation harness with significance tests
 and a latency benchmark.
 """
 
-from .encoder import Encoder, EncoderConfig, encode_component, pool
+from .encoder import Encoder, EncoderConfig, pool
 from .eval import (
     EffectSize,
     EvalInstance,

@@ -170,7 +170,7 @@ def _merge_options(args: argparse.Namespace, names: Sequence[str]) -> dict:
         unknown = sorted(set(overrides) - set(names))
         if unknown:
             raise ArtifactError(f"config file has unknown settings for this command: {unknown}")
-        effective.update(overrides)
+        effective.update({k: _config_value(k, v) for k, v in overrides.items()})
     for key in names:
         value = getattr(args, key)
         if value is not None:
@@ -180,6 +180,24 @@ def _merge_options(args: argparse.Namespace, names: Sequence[str]) -> dict:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ArtifactError(f"missing required settings: {flags}")
     return effective
+
+
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _config_value(key: str, value: object) -> object:
+    """A config-file value checked against its setting's row, converted as its flag would be."""
+    default, _, kwargs = SETTINGS[key]
+    if value is None and default is None:
+        return None
+    kind = kwargs.get("type", bool if "action" in kwargs else str)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ArtifactError(f"config setting {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise ArtifactError(f"config setting {key!r} must be one of {list(choices)}, got {value!r}")
+    return kind(value)
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -260,7 +278,7 @@ def _model_config(options: dict, tok: Tokenizer, num_tags: int) -> ModelConfig:
         components=components,
         encoders=encoders,
         num_tags=num_tags,
-        share_weights=bool(options["share_weights"]),
+        share_weights=options["share_weights"],
         truncation=options["truncation"],
     )
 
@@ -293,7 +311,7 @@ def cmd_ingest(options: dict) -> int:
 def cmd_build_vocab(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
-    vocab = build_tag_vocab(posts, theta=int(options["theta"]))
+    vocab = build_tag_vocab(posts, theta=options["theta"])
     kept = filter_posts(posts, vocab)
     (out / "tag_vocab.json").write_text(vocab.to_json() + "\n", encoding="utf-8")
     write_corpus(kept, out / "corpus_filtered.jsonl")
@@ -315,7 +333,7 @@ def cmd_tokenizer_train(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
     text = "\n".join(f"{p.title}\n{p.description}\n{p.code}" for p in posts)
-    tok = train_tokenizer(text, vocab_size=int(options["vocab_size"]))
+    tok = train_tokenizer(text, vocab_size=options["vocab_size"])
     (out / "tokenizer.json").write_text(tok.to_json() + "\n", encoding="utf-8")
     _echo_run_config("tokenizer-train", options, out)
     log.info("trained tokenizer with %d merges (vocab %d)", len(tok.merges), tok.vocab_size)
@@ -328,7 +346,7 @@ def cmd_train(options: dict) -> int:
     tok = _load_tokenizer(options["tokenizer"])
     out = _out_dir(options)
 
-    test_count = int(options["test_count"])
+    test_count = options["test_count"]
     if test_count > 0:
         train_posts, test_posts = chronological_split(posts, test_count)
         write_corpus(test_posts, out / "test.jsonl")
@@ -340,7 +358,7 @@ def cmd_train(options: dict) -> int:
     if not train_posts:
         raise ArtifactError("no training posts left after vocabulary filtering")
     config = _model_config(options, tok, num_tags=len(vocab))
-    model = TripletModel(config, vocab, seed=int(options["seed"]))
+    model = TripletModel(config, vocab, seed=options["seed"])
     dataset = build_dataset(train_posts, tok, config, vocab)
     trace = train(model, dataset, _train_config(options), trace_path=out / "loss_trace.csv")
     save_checkpoint(model, out / "model.ckpt")
@@ -374,18 +392,20 @@ def cmd_predict(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
+    fields = ("title", "description", "code")
     if options["post_json"]:
         raw = json.loads(_require_file(options["post_json"], "post file").read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ArtifactError("post file must contain a JSON object")
-        title = raw.get("title", "")
-        description = raw.get("description", "")
-        code = raw.get("code", "")
+        texts = {f: raw.get(f, "") for f in fields}
+        wrong = [f for f in fields if not isinstance(texts[f], str)]
+        if wrong:
+            raise ArtifactError(f"post file fields must be strings: {wrong}")
     else:
-        title, description, code = options["title"], options["description"], options["code"]
-    post = DecomposedPost(id=0, creation_date="1970-01-01T00:00:00", title=title, description=description, code=code, tags=("unused",))
+        texts = {f: options[f] for f in fields}
+    post = DecomposedPost(id=0, creation_date="1970-01-01T00:00:00", tags=("unused",), **texts)
     pred = model.predict(encode_post(post, tok, model.config))
-    names = predict_top_k(pred, int(options["k"]))
+    names = predict_top_k(pred, options["k"])
     ranked = {name: float(pred.probabilities[pred.tags.index(name)]) for name in names}
     print(json.dumps({"tags": [{"tag": n, "probability": ranked[n]} for n in names]}, indent=2))
     return 0
@@ -406,7 +426,7 @@ def cmd_ablate(options: dict) -> int:
     def run_variant(variant_components: tuple[str, ...]) -> dict:
         variant_options = options | {"components": ",".join(variant_components)}
         config = _model_config(variant_options, tok, num_tags=len(vocab))
-        model = TripletModel(config, vocab, seed=int(options["seed"]))
+        model = TripletModel(config, vocab, seed=options["seed"])
         dataset = build_dataset(train_posts, tok, config, vocab)
         train(model, dataset, _train_config(options))
         instances = build_eval_instances(model, tok, test_posts, top_n=5)
@@ -444,9 +464,9 @@ def cmd_bench(options: dict) -> int:
         model,
         tok,
         posts,
-        sample_n=int(options["sample_n"]),
-        repeats=int(options["repeats"]),
-        seed=int(options["seed"]),
+        sample_n=options["sample_n"],
+        repeats=options["repeats"],
+        seed=options["seed"],
     )
     write_json(stats.to_json_dict(), out / "latency.json")
     _echo_run_config("bench", options, out)

@@ -9,13 +9,12 @@ into real positions; outputs agree to float summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
-from .tokenizer import TokenSequence
 
 POOLING_STRATEGIES = ("mean", "cls_first", "max")
 
@@ -53,16 +52,7 @@ class EncoderConfig:
             raise EncoderConfigError(f"unknown pooling {self.pooling!r}, expected one of {POOLING_STRATEGIES}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "layers": self.layers,
-            "heads": self.heads,
-            "model_dim": self.model_dim,
-            "ffn_dim": self.ffn_dim,
-            "max_positions": self.max_positions,
-            "dropout_rate": self.dropout_rate,
-            "pooling": self.pooling,
-        }
+        return asdict(self)
 
 
 class Encoder:
@@ -187,9 +177,3 @@ def pool(hidden: T.Tensor, mask: np.ndarray, strategy: str) -> T.Tensor:
     if strategy == "cls_first":
         return T.select_position(hidden, 0)
     raise EncoderConfigError(f"unknown pooling {strategy!r}, expected one of {POOLING_STRATEGIES}")
-
-
-def encode_component(encoder: Encoder, seq: TokenSequence) -> np.ndarray:
-    """Pooled vector for one sequence, shape (model_dim,)."""
-    out = encoder.forward(seq.ids[None, :], seq.mask[None, :])
-    return out.data[0]

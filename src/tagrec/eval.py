@@ -166,17 +166,9 @@ def build_eval_instances(
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts  # 0-based sorted position of each value's first copy
+    return ((2 * first + counts + 1) / 2.0)[inverse]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -89,13 +89,7 @@ class ParseStats:
     skipped_malformed: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows_total": self.rows_total,
-            "questions_yielded": self.questions_yielded,
-            "filtered_non_question": self.filtered_non_question,
-            "filtered_untagged": self.filtered_untagged,
-            "skipped_malformed": self.skipped_malformed,
-        }
+        return asdict(self)
 
 
 def decode_entities(text: str) -> str:

@@ -45,7 +45,7 @@ class Tensor:
     def __init__(self, data: np.ndarray | float | int | Sequence, requires_grad: bool = False) -> None:
         arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
-            arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+            arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -70,9 +70,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g.astype(self.data.dtype, copy=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # Arithmetic sugar; the heavy lifting lives in the module functions.
     def __add__(self, other: "Tensor | float") -> "Tensor":
         return add(self, _coerce(other, self.dtype))
@@ -90,14 +87,8 @@ class Tensor:
     def __rsub__(self, other: "Tensor | float") -> "Tensor":
         return add(_coerce(other, self.dtype), mul(self, _coerce(-1.0, self.dtype)))
 
-    def __neg__(self) -> "Tensor":
-        return mul(self, _coerce(-1.0, self.dtype))
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return total(self)
 
     def backward(self) -> None:
         backward(self)
@@ -186,7 +177,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # Branch on sign so exp never overflows.
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = out_data.astype(d.dtype, copy=False)
 
     def bwd(out: Tensor) -> None:
@@ -429,24 +421,3 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
-
-
-def finite_difference_gradient(
-    fn: Callable[[], Tensor], param: Tensor, h: float = 1e-4
-) -> np.ndarray:
-    """Central-difference gradient of scalar fn() w.r.t. param, one coordinate at a time.
-
-    Used as the independent oracle against backward(); param should be
-    float64 for the differences to be trustworthy at h=1e-4.
-    """
-    flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(fn().data)
-        flat[i] = orig - h
-        f_minus = float(fn().data)
-        flat[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad.reshape(param.shape)

@@ -62,10 +62,6 @@ class Tokenizer:
         self._rank = {pair: i for i, pair in enumerate(self.merges)}
         self._token_bytes = _build_token_bytes(self.merges)
 
-    def token_bytes(self, token_id: int) -> bytes:
-        """Byte string a token expands to; specials expand to nothing."""
-        return self._token_bytes[token_id]
-
     def to_json(self) -> str:
         payload = {
             "format_version": TOKENIZER_FORMAT_VERSION,
@@ -208,7 +204,7 @@ def _encode_chunk(tok: Tokenizer, raw: bytes) -> list[int]:
 
 def decode(tok: Tokenizer, ids: list[int]) -> str:
     """Token ids back to text; specials vanish, stray bytes are replaced."""
-    return b"".join(tok.token_bytes(i) for i in ids).decode("utf-8", errors="replace")
+    return b"".join(tok._token_bytes[i] for i in ids).decode("utf-8", errors="replace")
 
 
 def encode(tok: Tokenizer, text: str, max_len: int, strategy: str = "head_only") -> TokenSequence:

@@ -28,6 +28,9 @@ from .vocab import TagVocabulary
 log = logging.getLogger(__name__)
 
 PROB_CLIP_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainConfigError(ValueError):
@@ -46,9 +49,6 @@ class TrainConfig:
     initial_lr: float = 7e-5
     epochs: int = 1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     warmup_steps: int = 0
     max_grad_norm: float | None = None
@@ -60,10 +60,6 @@ class TrainConfig:
             raise TrainConfigError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.epochs < 1:
             raise TrainConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise TrainConfigError(f"betas must lie in [0, 1): {self.beta1}, {self.beta2}")
-        if self.adam_eps <= 0:
-            raise TrainConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.weight_decay < 0:
             raise TrainConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.warmup_steps < 0:
@@ -149,19 +145,19 @@ class Adam:
     def step(self, lr: float) -> None:
         cfg = self.config
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params:
             if p.grad is None:
                 continue
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if cfg.weight_decay > 0:
                 update = update + cfg.weight_decay * p.data
             p.data = p.data - (lr * update).astype(p.data.dtype)
@@ -215,7 +211,6 @@ def train(
     n = len(dataset)
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
-    use_dropout = any(model.config.encoders[c].dropout_rate > 0 for c in model.config.components)
 
     trace: list[tuple[int, float, float]] = []
     step = 0
@@ -224,7 +219,7 @@ def train(
         for start in range(0, n, config.batch_size):
             examples = [dataset[i] for i in order[start : start + config.batch_size]]
             batch, targets = _stack_batch(examples, model.config.components)
-            probs = model.forward(batch, rng=rng if use_dropout else None)
+            probs = model.forward(batch, rng=rng)
             loss = bce_loss(probs, targets)
             loss_value = float(loss.data)
             lr = lr_at(step, total_steps, config)

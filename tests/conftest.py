@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from tagrec.encoder import EncoderConfig
+from tagrec.encoder import Encoder, EncoderConfig
 from tagrec.ingest import DecomposedPost
 from tagrec.model import COMPONENT_ORDER, ModelConfig
+from tagrec.tensor import Tensor
 from tagrec.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
@@ -49,6 +51,31 @@ def make_sequence(content_ids: list[int], max_len: int) -> TokenSequence:
     mask = np.zeros(max_len, dtype=bool)
     mask[: len(content_ids) + 2] = True
     return TokenSequence(ids=ids, mask=mask)
+
+
+def finite_difference_gradient(fn: Callable[[], Tensor], param: Tensor, h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of scalar fn() w.r.t. param, one coordinate at a time.
+
+    The independent oracle against backward(); param should be float64 for
+    the differences to be trustworthy at h=1e-4.
+    """
+    flat = param.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = float(fn().data)
+        flat[i] = orig - h
+        f_minus = float(fn().data)
+        flat[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad.reshape(param.shape)
+
+
+def encode_component(encoder: Encoder, seq: TokenSequence) -> np.ndarray:
+    """Pooled vector for one sequence, shape (model_dim,): a batch-of-one forward."""
+    out = encoder.forward(seq.ids[None, :], seq.mask[None, :])
+    return out.data[0]
 
 
 def make_post(

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_sequence
+from conftest import encode_component, finite_difference_gradient, make_sequence
 from tagrec import tensor as T
-from tagrec.encoder import Encoder, EncoderConfig, encode_component
+from tagrec.encoder import Encoder, EncoderConfig
 from tagrec.eval import (
     EvalInstance,
     build_eval_instances,
@@ -149,7 +149,7 @@ def test_criterion_03_every_gradient_matches_finite_differences(rng):
 
     loss_fn().backward()
     for name, param in model.parameters():
-        numeric = T.finite_difference_gradient(loss_fn, param, h=1e-4)
+        numeric = finite_difference_gradient(loss_fn, param, h=1e-4)
         err = np.abs(param.grad - numeric)
         tol = np.maximum(1e-4 * np.abs(numeric), 1e-6)
         assert np.all(err <= tol), f"{name}: worst {float((err - tol).max()):.3e} over tolerance"

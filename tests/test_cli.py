@@ -168,6 +168,21 @@ class TestPipeline:
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["tags"]) == 1
 
+    def test_predict_rejects_non_string_post_field(self, pipeline, tmp_path, capsys):
+        post = tmp_path / "post.json"
+        post.write_text(json.dumps({"title": 5, "description": "d"}))
+        code = main([
+            "predict", "--quiet",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--post-json", str(post),
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["type"] == "ArtifactError"
+        assert "title" in error["message"] and "description" not in error["message"]
+
     def test_bench_writes_latency_report(self, pipeline, tmp_path, capsys):
         out = tmp_path / "bench"
         code = main([
@@ -338,6 +353,82 @@ class TestConfigPrecedence:
             "--corpus", str(ingest / "corpus.jsonl"), "--out-dir", str(out_b),
         ])
         assert json.loads((out_b / "run_config.json").read_text())["options"]["theta"] == 1
+
+
+def _tiny_flags_without(name: str) -> list[str]:
+    i = TINY_TRAIN_FLAGS.index("--" + name.replace("_", "-"))
+    return TINY_TRAIN_FLAGS[:i] + TINY_TRAIN_FLAGS[i + 2 :]
+
+
+def _train_with_config(pipeline, out: Path, settings: dict, flags: list[str]) -> int:
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps(settings))
+    return main([
+        "train", "--quiet", "--config", str(config),
+        "--corpus", str(pipeline["filtered"]),
+        "--vocab", str(pipeline["vocab"]),
+        "--tokenizer", str(pipeline["tokenizer"]),
+        "--out-dir", str(out),
+        *flags,
+    ])
+
+
+class TestConfigValueTypes:
+    def _error(self, capsys) -> dict:
+        return json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
+    def test_string_for_integer_setting_rejected(self, pipeline, tmp_path, capsys):
+        code = _train_with_config(pipeline, tmp_path / "m", {"layers": "1"}, _tiny_flags_without("layers"))
+        assert code == 2
+        error = self._error(capsys)
+        assert error["type"] == "ArtifactError" and "layers" in error["message"]
+
+    def test_string_for_boolean_setting_rejected(self, pipeline, tmp_path, capsys):
+        # Equal lengths, so a shared-weight model would be valid and train.
+        flags = [*_tiny_flags_without("title_len"), "--title-len", "24"]
+        code = _train_with_config(pipeline, tmp_path / "m", {"share_weights": "no"}, flags)
+        assert code == 2
+        assert "share_weights" in self._error(capsys)["message"]
+        assert not (tmp_path / "m" / "model.ckpt").exists()
+
+    def test_integer_for_float_setting_recorded_as_float(self, pipeline, tmp_path):
+        flags = _tiny_flags_without("lr")
+        assert _train_with_config(pipeline, tmp_path / "config", {"lr": 1}, flags) == 0
+        assert _train_with_config(pipeline, tmp_path / "flag", {}, [*flags, "--lr", "1"]) == 0
+        from_config, from_flag = (
+            json.loads((tmp_path / run / "run_config.json").read_text())["options"] for run in ("config", "flag")
+        )
+        assert type(from_config["lr"]) is float
+        assert from_config | {"out_dir": None} == from_flag | {"out_dir": None}
+        assert (tmp_path / "config" / "model.ckpt").read_bytes() == (tmp_path / "flag" / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("build-vocab", "theta", "1"),
+            ("build-vocab", "theta", True),
+            ("build-vocab", "theta", 1.5),
+            ("build-vocab", "corpus", None),
+            ("train", "lr", "1e-3"),
+            ("train", "max_grad_norm", None),
+            ("train", "share_weights", 0),
+            ("train", "pooling", "sum"),
+            ("train", "components", ["title"]),
+            ("predict", "k", 2.0),
+        ],
+    )
+    def test_wrong_json_type_rejected_before_any_work(self, command, key, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert main([command, "--quiet", "--config", str(config)]) == 2
+        error = self._error(capsys)
+        assert error["type"] == "ArtifactError" and repr(key) in error["message"]
+
+    def test_null_accepted_where_the_default_is_null(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"post_json": None}))
+        assert main(["predict", "--quiet", "--config", str(config)]) == 2
+        assert self._error(capsys)["message"].startswith("missing required settings")
 
 
 class TestLogging:

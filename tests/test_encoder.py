@@ -9,14 +9,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_sequence
+from conftest import encode_component, finite_difference_gradient, make_sequence
 from tagrec import tensor as T
 from tagrec.encoder import (
     ATTENTION_MASK_BIAS,
     Encoder,
     EncoderConfig,
     EncoderConfigError,
-    encode_component,
     pool,
 )
 
@@ -239,7 +238,7 @@ class TestGradients:
         checked = ["tok_emb", "blocks.0.wq", "blocks.0.attn_ln_gain", "blocks.0.w1", "final_ln_gain"]
         params = dict(enc.parameters())
         for name in checked:
-            numeric = T.finite_difference_gradient(loss_fn, params[name])
+            numeric = finite_difference_gradient(loss_fn, params[name])
             np.testing.assert_allclose(
                 params[name].grad, numeric.reshape(params[name].shape), rtol=1e-4, atol=1e-6,
                 err_msg=name,

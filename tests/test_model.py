@@ -243,6 +243,24 @@ class TestCheckpoints:
             model.predict(seqs).probabilities, loaded.predict(seqs).probabilities
         )
 
+    def test_header_bytes_are_pinned(self, tmp_path):
+        # Written out by hand, so a change to the format or to the config's
+        # JSON layout fails here, not only in a comparison of two new files.
+        config = (
+            b'{"components":["title"],"num_tags":5,"share_weights":false,"truncation":"head_only",'
+            b'"encoders":{"title":{"vocab_size":261,"layers":1,"heads":2,"model_dim":8,"ffn_dim":16,'
+            b'"max_positions":8,"dropout_rate":0.0,"pooling":"max"}}}'
+        )
+        header = b"TAGRECK1" + b"\x01\x00\x00\x00" + b"\xe1\x00\x00\x00" + config
+        vocab_digest = bytes.fromhex("40a94704ea3d44c531ac6e10c49a5cb1ded5d730f4d00cf30a656a8a84f5c0d3")
+        config_obj = tiny_model_config(261, 5, components=("title",), pooling="max")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(TripletModel(config_obj, make_vocab(5), seed=9), path)
+        blob = path.read_bytes()
+        assert len(config) == 0xE1
+        assert blob[: len(header) + 32] == header + vocab_digest
+        assert len(blob) == len(header) + 32 + 4 * 2813  # 2,813 float32 parameters
+
     def test_bad_magic(self, tmp_path):
         model = self._small()
         path = tmp_path / "model.ckpt"
