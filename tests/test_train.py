@@ -248,6 +248,8 @@ class TestConfigValidation:
             dict(batch_size=0),
             dict(initial_lr=0.0),
             dict(epochs=0),
+            dict(initial_lr=-7e-5),
+            dict(batch_size=-1),
             dict(weight_decay=-0.1),
             dict(warmup_steps=-1),
             dict(max_grad_norm=0.0),
