@@ -47,7 +47,7 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import TRUNCATION_STRATEGIES, Tokenizer, train_tokenizer
-from .train import TrainConfig, build_dataset, train
+from .train import TrainConfig, build_dataset, train, write_loss_trace
 from .vocab import TagVocabulary, build_tag_vocab, filter_posts
 
 log = logging.getLogger("tagrec")
@@ -236,8 +236,6 @@ def _load_corpus(path: str | Path) -> list:
 
 def _parse_components(raw: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-    if not parts:
-        raise ArtifactError(f"no components in {raw!r}")
     unknown = [p for p in parts if p not in COMPONENT_ORDER]
     if unknown:
         raise ArtifactError(f"unknown components {unknown}, expected among {COMPONENT_ORDER}")
@@ -256,11 +254,6 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 def _model_config(options: dict, tok: Tokenizer, num_tags: int) -> ModelConfig:
     components = _parse_components(options["components"])
-    lengths = {
-        "title": options["title_len"],
-        "description": options["description_len"],
-        "code": options["code_len"],
-    }
     encoders = {
         c: EncoderConfig(
             vocab_size=tok.vocab_size,
@@ -268,7 +261,7 @@ def _model_config(options: dict, tok: Tokenizer, num_tags: int) -> ModelConfig:
             heads=options["heads"],
             model_dim=options["model_dim"],
             ffn_dim=options["ffn_dim"],
-            max_positions=lengths[c],
+            max_positions=options[f"{c}_len"],
             dropout_rate=options["dropout"],
             pooling=options["pooling"],
         )
@@ -295,13 +288,30 @@ def _train_config(options: dict) -> TrainConfig:
     )
 
 
+def _fit(options: dict, posts: list, tok: Tokenizer, vocab: TagVocabulary) -> tuple[TripletModel, list]:
+    """Build the model the options describe and train it on posts; returns it and its loss trace."""
+    config = _model_config(options, tok, num_tags=len(vocab))
+    model = TripletModel(config, vocab, seed=options["seed"])
+    trace = train(model, build_dataset(posts, tok, config, vocab), _train_config(options))
+    return model, trace
+
+
+def _load_model(options: dict) -> tuple[Tokenizer, TripletModel]:
+    """The tokenizer and the checkpoint the options name, checked to belong together."""
+    vocab = _load_vocab(options["vocab"])
+    tok = _load_tokenizer(options["tokenizer"])
+    model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
+    trained = sorted({enc.vocab_size for enc in model.config.encoders.values()})
+    if trained != [tok.vocab_size]:
+        raise ArtifactError(f"tokenizer has {tok.vocab_size} tokens, the checkpoint was trained with {trained}")
+    return tok, model
+
+
 def cmd_ingest(options: dict) -> int:
     dump = _require_file(options["dump"], "dump")
     out = _out_dir(options)
     stats = ParseStats()
-    raw_posts = list(parse_dump(dump, stats))
-    posts = decompose_all(raw_posts)
-    count = write_corpus(posts, out / "corpus.jsonl")
+    count = write_corpus(decompose_all(parse_dump(dump, stats)), out / "corpus.jsonl")
     write_json(stats.to_json_dict(), out / "ingest_stats.json")
     _echo_run_config("ingest", options, out)
     log.info("ingested %d posts from %d rows into %s", count, stats.rows_total, out)
@@ -332,7 +342,7 @@ def cmd_build_vocab(options: dict) -> int:
 def cmd_tokenizer_train(options: dict) -> int:
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
-    text = "\n".join(f"{p.title}\n{p.description}\n{p.code}" for p in posts)
+    text = "\n".join("\n".join(getattr(p, c) for c in COMPONENT_ORDER) for p in posts)
     tok = train_tokenizer(text, vocab_size=options["vocab_size"])
     (out / "tokenizer.json").write_text(tok.to_json() + "\n", encoding="utf-8")
     _echo_run_config("tokenizer-train", options, out)
@@ -357,10 +367,8 @@ def cmd_train(options: dict) -> int:
     train_posts = filter_posts(train_posts, vocab)
     if not train_posts:
         raise ArtifactError("no training posts left after vocabulary filtering")
-    config = _model_config(options, tok, num_tags=len(vocab))
-    model = TripletModel(config, vocab, seed=options["seed"])
-    dataset = build_dataset(train_posts, tok, config, vocab)
-    trace = train(model, dataset, _train_config(options), trace_path=out / "loss_trace.csv")
+    model, trace = _fit(options, train_posts, tok, vocab)
+    write_loss_trace(trace, out / "loss_trace.csv")
     save_checkpoint(model, out / "model.ckpt")
     _echo_run_config("train", options, out)
     log.info("trained %d steps, final loss %.4f, checkpoint %s", len(trace), trace[-1][2], out / "model.ckpt")
@@ -368,10 +376,8 @@ def cmd_train(options: dict) -> int:
 
 
 def cmd_evaluate(options: dict) -> int:
-    vocab = _load_vocab(options["vocab"])
-    tok = _load_tokenizer(options["tokenizer"])
-    model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
-    posts = filter_posts(_load_corpus(options["corpus"]), vocab)
+    tok, model = _load_model(options)
+    posts = filter_posts(_load_corpus(options["corpus"]), model.vocab)
     if not posts:
         raise ArtifactError("no evaluable posts after vocabulary filtering")
     out = _out_dir(options)
@@ -389,25 +395,21 @@ def cmd_evaluate(options: dict) -> int:
 
 
 def cmd_predict(options: dict) -> int:
-    vocab = _load_vocab(options["vocab"])
-    tok = _load_tokenizer(options["tokenizer"])
-    model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
-    fields = ("title", "description", "code")
+    tok, model = _load_model(options)
+    source = options
     if options["post_json"]:
-        raw = json.loads(_require_file(options["post_json"], "post file").read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
+        source = json.loads(_require_file(options["post_json"], "post file").read_text(encoding="utf-8"))
+        if not isinstance(source, dict):
             raise ArtifactError("post file must contain a JSON object")
-        texts = {f: raw.get(f, "") for f in fields}
-        wrong = [f for f in fields if not isinstance(texts[f], str)]
-        if wrong:
-            raise ArtifactError(f"post file fields must be strings: {wrong}")
-    else:
-        texts = {f: options[f] for f in fields}
+    texts = {c: source.get(c, "") for c in COMPONENT_ORDER}
+    wrong = [c for c in COMPONENT_ORDER if not isinstance(texts[c], str)]
+    if wrong:
+        raise ArtifactError(f"post file fields must be strings: {wrong}")
     post = DecomposedPost(id=0, creation_date="1970-01-01T00:00:00", tags=("unused",), **texts)
     pred = model.predict(encode_post(post, tok, model.config))
     names = predict_top_k(pred, options["k"])
-    ranked = {name: float(pred.probabilities[pred.tags.index(name)]) for name in names}
-    print(json.dumps({"tags": [{"tag": n, "probability": ranked[n]} for n in names]}, indent=2))
+    tags = [{"tag": n, "probability": float(pred.probabilities[i])} for n, i in zip(names, pred.ranked)]
+    print(json.dumps({"tags": tags}, indent=2))
     return 0
 
 
@@ -424,30 +426,20 @@ def cmd_ablate(options: dict) -> int:
         raise ArtifactError("ablation needs at least two components")
 
     def run_variant(variant_components: tuple[str, ...]) -> dict:
-        variant_options = options | {"components": ",".join(variant_components)}
-        config = _model_config(variant_options, tok, num_tags=len(vocab))
-        model = TripletModel(config, vocab, seed=options["seed"])
-        dataset = build_dataset(train_posts, tok, config, vocab)
-        train(model, dataset, _train_config(options))
+        model, _ = _fit(options | {"components": ",".join(variant_components)}, train_posts, tok, vocab)
         instances = build_eval_instances(model, tok, test_posts, top_n=5)
         return evaluate_corpus(instances).to_json_dict()
 
-    results = {"full": run_variant(components)}
+    full = run_variant(components)
+    results, deltas = {"full": full}, {}
     for excluded in components:
-        remaining = tuple(c for c in components if c != excluded)
-        results[f"no_{excluded}"] = run_variant(remaining)
-
-    deltas = {}
-    for variant, metrics in results.items():
-        if variant == "full":
-            continue
-        deltas[variant] = {
-            k: metrics["f1"][k] - results["full"]["f1"][k] for k in results["full"]["f1"]
-        }
+        metrics = run_variant(tuple(c for c in components if c != excluded))
+        results[f"no_{excluded}"] = metrics
+        deltas[f"no_{excluded}"] = {k: metrics["f1"][k] - full["f1"][k] for k in full["f1"]}
     payload = {"variants": results, "f1_delta_vs_full": deltas}
     write_json(payload, out / "ablation.json")
     _echo_run_config("ablate", options, out)
-    ks = sorted(results["full"]["f1"], key=int)
+    ks = sorted(full["f1"], key=int)
     print("variant        " + "".join(f"{'dF1@' + k:>10}" for k in ks))
     for variant, d in deltas.items():
         print(f"{variant:<15}" + "".join(f"{d[k]:>10.4f}" for k in ks))
@@ -455,9 +447,7 @@ def cmd_ablate(options: dict) -> int:
 
 
 def cmd_bench(options: dict) -> int:
-    vocab = _load_vocab(options["vocab"])
-    tok = _load_tokenizer(options["tokenizer"])
-    model = load_checkpoint(_require_file(options["checkpoint"], "checkpoint"), vocab)
+    tok, model = _load_model(options)
     posts = _load_corpus(options["corpus"])
     out = _out_dir(options)
     stats = latency_bench(

@@ -54,26 +54,23 @@ class EvalInstance:
             raise EvalError("ranked prediction contains duplicates")
 
 
-def precision_at_k(instance: EvalInstance, k: int) -> float:
-    """Fraction of the top k predictions that are true tags."""
+def _hits_at_k(instance: EvalInstance, k: int) -> int:
+    """True tags among the top k predictions."""
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
     if len(instance.ranked_prediction) < k:
         raise EvalError(f"ranking has only {len(instance.ranked_prediction)} entries, need {k}")
-    hits = sum(1 for t in instance.ranked_prediction[:k] if t in instance.ground_truth)
-    return hits / k
+    return sum(1 for t in instance.ranked_prediction[:k] if t in instance.ground_truth)
+
+
+def precision_at_k(instance: EvalInstance, k: int) -> float:
+    """Fraction of the top k predictions that are true tags."""
+    return _hits_at_k(instance, k) / k
 
 
 def recall_at_k(instance: EvalInstance, k: int) -> float:
     """Hits over min(k, |true tags|): capped so a perfect top-k scores 1.0."""
-    if k < 1:
-        raise EvalError(f"k must be >= 1, got {k}")
-    if len(instance.ranked_prediction) < k:
-        raise EvalError(f"ranking has only {len(instance.ranked_prediction)} entries, need {k}")
-    hits = sum(1 for t in instance.ranked_prediction[:k] if t in instance.ground_truth)
-    truth = len(instance.ground_truth)
-    denom = k if truth > k else truth
-    return hits / denom
+    return _hits_at_k(instance, k) / min(k, len(instance.ground_truth))
 
 
 def f1_at_k(instance: EvalInstance, k: int) -> float:
@@ -205,6 +202,14 @@ def _normal_two_sided_p(nonzero: np.ndarray, ranks: np.ndarray, w_plus: float) -
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
+def _finite_samples(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise StatsError("samples must be finite: NaN or infinity found")
+    return a, b
+
+
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided paired test on a - b. Zero differences are dropped first.
 
@@ -213,8 +218,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
     use the exact sign-assignment distribution, larger ones the normal
     approximation with tie correction.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _finite_samples(a, b)
     if a.shape != b.shape or a.ndim != 1:
         raise StatsError(f"paired samples must be equal-length 1-D, got {a.shape} and {b.shape}")
     diff = a - b
@@ -253,11 +257,13 @@ def classify_magnitude(delta: float) -> str:
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> EffectSize:
     """Dominance statistic: P(a > b) - P(a < b) over all cross pairs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _finite_samples(a, b)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise StatsError("both samples must be non-empty 1-D sequences")
-    delta = float(np.sign(a[:, None] - b[None, :]).mean())
+    # Per a-value, the b-values below it minus those above it: left + right - len(b) in sorted b.
+    sorted_b = np.sort(b)
+    wins = np.searchsorted(sorted_b, a, side="left") + np.searchsorted(sorted_b, a, side="right") - b.size
+    delta = float(wins.sum() / (a.size * b.size))
     return EffectSize(delta=delta, magnitude=classify_magnitude(delta))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -210,9 +211,9 @@ def decompose(post: RawPost) -> DecomposedPost:
     )
 
 
-def decompose_all(posts: Iterable[RawPost]) -> list[DecomposedPost]:
-    """Decompose a batch of raw posts, keeping their order."""
-    return [decompose(p) for p in posts]
+def decompose_all(posts: Iterable[RawPost]) -> Iterator[DecomposedPost]:
+    """Decompose raw posts lazily, one at a time, keeping their order."""
+    return map(decompose, posts)
 
 
 def _parse_date(value: str) -> datetime:
@@ -236,13 +237,18 @@ def chronological_split(posts: Sequence, test_count: int) -> tuple[list, list]:
 
 
 def write_corpus(posts: Iterable[DecomposedPost], path: str | Path) -> int:
-    """Write posts as JSONL; returns the number of records written."""
+    """Write posts as JSONL, whole or not at all (through ``<path>.tmp``); returns the record count."""
+    tmp = Path(f"{path}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for post in posts:
-            fh.write(json.dumps(post.to_json_dict(), separators=(",", ":"), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for post in posts:
+                fh.write(json.dumps(post.to_json_dict(), separators=(",", ":"), ensure_ascii=False))
+                fh.write("\n")
+                count += 1
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return count
 
 

@@ -13,12 +13,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import Encoder, EncoderConfig
+from .encoder import INIT_STD, Encoder, EncoderConfig
 from .ingest import DecomposedPost
 from .tokenizer import TRUNCATION_STRATEGIES, TokenSequence, Tokenizer, encode
 from .vocab import TagVocabulary
@@ -140,7 +140,7 @@ class TripletModel:
         in_dim = sum(config.encoders[c].model_dim for c in config.components)
         head_rng = np.random.default_rng(seeds[-1])
         self.classifier_weight = T.Tensor(
-            head_rng.normal(0.0, 0.02, (in_dim, config.num_tags)).astype(self.dtype), requires_grad=True
+            head_rng.normal(0.0, INIT_STD, (in_dim, config.num_tags)).astype(self.dtype), requires_grad=True
         )
         self.classifier_bias = T.Tensor(np.zeros(config.num_tags, dtype=self.dtype), requires_grad=True)
 
@@ -177,9 +177,8 @@ class TripletModel:
 
     def predict(self, seqs: dict[str, TokenSequence]) -> Prediction:
         """Score one post; ranking breaks probability ties by tag index."""
-        batch = {c: (seqs[c].ids[None, :], seqs[c].mask[None, :]) for c in self.config.components}
         with T.no_grad():
-            probs = self.forward(batch).data[0]
+            probs = self.forward(stack_sequences([seqs], self.config.components)).data[0]
         ranked = np.argsort(-probs, kind="stable")
         return Prediction(probabilities=probs, ranked=ranked, tags=self.vocab.tags)
 
@@ -193,10 +192,19 @@ def predict_top_k(pred: Prediction, k: int) -> list[str]:
 
 def encode_post(post: DecomposedPost, tok: Tokenizer, config: ModelConfig) -> dict[str, TokenSequence]:
     """Pack a post's configured components to their encoders' max lengths."""
-    texts = {"title": post.title, "description": post.description, "code": post.code}
     return {
-        c: encode(tok, texts[c], config.encoders[c].max_positions, config.truncation)
+        c: encode(tok, getattr(post, c), config.encoders[c].max_positions, config.truncation)
         for c in config.components
+    }
+
+
+def stack_sequences(
+    posts: Sequence[dict[str, TokenSequence]], components: Sequence[str]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The forward batch for encode_post results: per component, (ids, mask) of shape (posts, seq)."""
+    return {
+        c: (np.stack([seqs[c].ids for seqs in posts]), np.stack([seqs[c].mask for seqs in posts]))
+        for c in components
     }
 
 

@@ -83,7 +83,7 @@ class Tokenizer:
             raise TokenizerError(f"unsupported tokenizer format_version {payload.get('format_version')!r}")
         merges = []
         for entry in payload["merges"]:
-            if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, int) for v in entry)):
+            if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
                 raise TokenizerError(f"malformed merge entry {entry!r}")
             merges.append((entry[0], entry[1]))
         tok = cls(merges)
@@ -98,7 +98,8 @@ def _build_token_bytes(merges: list[tuple[int, int]]) -> list[bytes]:
     table = [bytes([i]) for i in range(BYTE_TOKENS)]
     table += [b""] * NUM_SPECIALS
     for left, right in merges:
-        if left >= len(table) or right >= len(table):
+        # Each side names a byte or an earlier merge, never a special token.
+        if not all(0 <= v < BYTE_TOKENS or BASE_VOCAB <= v < len(table) for v in (left, right)):
             raise TokenizerError(f"merge ({left}, {right}) references unknown token")
         table.append(table[left] + table[right])
     return table

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .ingest import DecomposedPost
-from .model import ModelConfig, TripletModel, encode_post
+from .model import ModelConfig, TripletModel, encode_post, stack_sequences
 from .tokenizer import TokenSequence, Tokenizer
 from .vocab import TagVocabulary
 
@@ -178,25 +178,10 @@ def clip_gradients(params: Sequence[tuple[str, T.Tensor]], max_norm: float) -> f
     return norm
 
 
-def _stack_batch(
-    examples: Sequence[TrainExample], components: Sequence[str]
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    batch = {
-        c: (
-            np.stack([ex.sequences[c].ids for ex in examples]),
-            np.stack([ex.sequences[c].mask for ex in examples]),
-        )
-        for c in components
-    }
-    targets = np.stack([ex.target for ex in examples])
-    return batch, targets
-
-
 def train(
     model: TripletModel,
     dataset: Sequence[TrainExample],
     config: TrainConfig,
-    trace_path: str | Path | None = None,
 ) -> list[tuple[int, float, float]]:
     """Optimize the model in place; returns the (step, lr, loss) trace.
 
@@ -218,9 +203,9 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             examples = [dataset[i] for i in order[start : start + config.batch_size]]
-            batch, targets = _stack_batch(examples, model.config.components)
+            batch = stack_sequences([ex.sequences for ex in examples], model.config.components)
             probs = model.forward(batch, rng=rng)
-            loss = bce_loss(probs, targets)
+            loss = bce_loss(probs, np.stack([ex.target for ex in examples]))
             loss_value = float(loss.data)
             lr = lr_at(step, total_steps, config)
             if not math.isfinite(loss_value):
@@ -235,9 +220,6 @@ def train(
             trace.append((step, lr, loss_value))
             step += 1
         log.info("epoch done: step %d of %d, loss %.4f", step, total_steps, trace[-1][2])
-
-    if trace_path is not None:
-        write_loss_trace(trace, trace_path)
     return trace
 
 

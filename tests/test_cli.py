@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import logging
 import re
@@ -17,6 +18,7 @@ from tagrec.ingest import read_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = str(FIXTURES / "posts_fixture.xml")
+SERVE = Path(__file__).resolve().parents[1] / "perfbench" / "serve.py"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -223,6 +225,25 @@ class TestPipeline:
         assert payload["column"] == "f1@5"
         assert json.loads(result_path.read_text()) == payload
 
+    def test_benchmark_serve_stage_on_the_pipeline(self, pipeline):
+        # The benchmark's serve stage feeds TripletModel.forward cut-to-length
+        # (ids, mask) arrays and reads TokenSequence.length.
+        spec = importlib.util.spec_from_file_location("perfbench_serve", SERVE)
+        serve = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(serve)
+        result = serve.serve({
+            "checkpoint": str(pipeline["checkpoint"]),
+            "vocab": str(pipeline["vocab"]),
+            "tokenizer": str(pipeline["tokenizer"]),
+            "corpus": str(pipeline["filtered"]),
+            "test_corpus": str(pipeline["test_corpus"]),
+            "min_seconds": None,
+        })
+        assert result["roundtrip_failures"] == []
+        assert result["padding_max_diff"] <= 1e-5
+        held_out = [p.id for p in read_corpus(pipeline["test_corpus"])]
+        assert [r["id"] for r in result["rankings"]] == held_out
+
 
 class TestDeterminism:
     def test_double_run_artifacts_are_byte_identical(self, tmp_path):
@@ -314,6 +335,55 @@ class TestErrorHandling:
         ])
         assert code == 2
         assert self._stderr_error(capsys)["type"] == "VocabHashMismatchError"
+
+    @pytest.mark.parametrize("vocab_size", [280, 330])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "bench"])
+    def test_tokenizer_checkpoint_mismatch(self, pipeline, command, vocab_size, tmp_path, capsys):
+        # The checkpoint was trained with the pipeline's 300-token tokenizer.
+        assert main([
+            "tokenizer-train", "--quiet",
+            "--corpus", str(pipeline["filtered"]),
+            "--out-dir", str(tmp_path / "tok"),
+            "--vocab-size", str(vocab_size),
+        ]) == 0
+        inputs = {
+            "evaluate": ["--corpus", str(pipeline["test_corpus"]), "--out-dir", str(tmp_path / "out")],
+            "predict": ["--title", "How do I parse JSON in python?"],
+            "bench": ["--corpus", str(pipeline["test_corpus"]), "--out-dir", str(tmp_path / "out"), "--sample-n", "1", "--repeats", "1"],
+        }
+        code = main([
+            command, "--quiet",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(tmp_path / "tok" / "tokenizer.json"),
+            *inputs[command],
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.splitlines()[-1])["error"]
+        assert error["type"] == "ArtifactError"
+        assert str(vocab_size) in error["message"] and "300" in error["message"]
+
+    def test_truncated_dump_leaves_no_corpus(self, tmp_path, capsys):
+        dump = tmp_path / "truncated.xml"
+        text = Path(DUMP).read_bytes()
+        dump.write_bytes(text[: len(text) // 2])
+        out = tmp_path / "out"
+        assert main(["ingest", "--quiet", "--dump", str(dump), "--out-dir", str(out)]) == 2
+        assert self._stderr_error(capsys)["type"] == "DumpParseError"
+        assert not (out / "corpus.jsonl").exists()
+        assert list(out.glob("*.tmp")) == []
+
+    def test_compare_rejects_non_finite_value(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("instance,f1@5\n" + "".join(f"{i},{v}\n" for i, v in enumerate([0.1, 0.5, "nan", 0.3, 0.7, 0.2, 0.8])))
+        b.write_text("instance,f1@5\n" + "".join(f"{i},{v}\n" for i, v in enumerate([0.2, 0.1, 0.4, 0.6, 0.5, 0.9, 0.3])))
+        assert main(["compare", "--quiet", "--a", str(a), "--b", str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1])["error"]["type"] == "StatsError"
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"

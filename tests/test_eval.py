@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ class TestWilcoxon:
         with pytest.raises(StatsError, match="equal-length"):
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        a = [0.1, 0.5, 0.9, 0.3, 0.7, 0.2, 0.8]
+        b = [0.2, 0.1, 0.4, 0.6, 0.5, 0.9, 0.3]
+        with pytest.raises(StatsError, match="finite"):
+            wilcoxon_signed_rank(a[:2] + [bad] + a[3:], b)
+        with pytest.raises(StatsError, match="finite"):
+            wilcoxon_signed_rank(a, b[:2] + [bad] + b[3:])
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=8, max_size=14))
     def test_p_values_lie_in_unit_interval_and_are_symmetric(self, deltas):
@@ -293,6 +303,24 @@ class TestCliffsDelta:
     def test_empty_sample_rejected(self):
         with pytest.raises(StatsError, match="non-empty"):
             cliffs_delta([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(StatsError, match="finite"):
+            cliffs_delta([0.1, bad, 0.3], [0.2, 0.4])
+        with pytest.raises(StatsError, match="finite"):
+            cliffs_delta([0.1, 0.3], [0.2, bad, 0.4])
+
+    def test_memory_does_not_grow_with_the_pair_count(self, rng):
+        a = rng.integers(0, 6, size=3000).astype(float)
+        b = rng.integers(0, 6, size=3000).astype(float)
+        tracemalloc.start()
+        try:
+            cliffs_delta(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=8),

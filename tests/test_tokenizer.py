@@ -158,6 +158,13 @@ class TestSerialization:
             Tokenizer.from_json('{"format_version":9,"merges":[]}')
         with pytest.raises(TokenizerError, match="vocab_size"):
             Tokenizer.from_json('{"format_version":1,"vocab_size":999,"merges":[]}')
+        # A merge side must be a plain int naming a byte or an earlier merge.
+        with pytest.raises(TokenizerError, match="unknown token"):
+            Tokenizer.from_json('{"format_version":1,"vocab_size":261,"merges":[[-1,97]]}')
+        with pytest.raises(TokenizerError, match="unknown token"):
+            Tokenizer.from_json('{"format_version":1,"vocab_size":261,"merges":[[256,97]]}')
+        with pytest.raises(TokenizerError, match="malformed merge"):
+            Tokenizer.from_json('{"format_version":1,"vocab_size":261,"merges":[[true,97]]}')
 
 
 @settings(max_examples=60, deadline=None)
