@@ -20,6 +20,7 @@ from typing import Sequence
 from . import __version__
 from .encoder import POOLING_STRATEGIES, EncoderConfig
 from .eval import (
+    DEFAULT_KS,
     build_eval_instances,
     cliffs_delta,
     evaluate_corpus,
@@ -31,6 +32,7 @@ from .eval import (
 from .ingest import (
     DecomposedPost,
     ParseStats,
+    artifact_path,
     chronological_split,
     decompose_all,
     parse_dump,
@@ -90,26 +92,30 @@ SETTINGS: dict[str, tuple[object, str, dict]] = {
     "theta": (50, "rare-tag threshold: keep count >= theta", {"type": int}),
     "vocab_size": (8192, "target vocabulary size", {"type": int}),
     "components": (",".join(COMPONENT_ORDER), "comma list of post components to encode", {}),
-    "share_weights": (False, "one encoder shared by all components", {"action": argparse.BooleanOptionalAction}),
-    "pooling": ("mean", "sequence pooling", {"choices": POOLING_STRATEGIES}),
-    "layers": (2, "encoder layers", {"type": int}),
-    "heads": (4, "attention heads", {"type": int}),
-    "model_dim": (128, "model width", {"type": int}),
-    "ffn_dim": (512, "feed-forward width", {"type": int}),
+    "share_weights": (
+        ModelConfig.share_weights,
+        "one encoder shared by all components",
+        {"action": argparse.BooleanOptionalAction},
+    ),
+    "pooling": (EncoderConfig.pooling, "sequence pooling", {"choices": POOLING_STRATEGIES}),
+    "layers": (EncoderConfig.layers, "encoder layers", {"type": int}),
+    "heads": (EncoderConfig.heads, "attention heads", {"type": int}),
+    "model_dim": (EncoderConfig.model_dim, "model width", {"type": int}),
+    "ffn_dim": (EncoderConfig.ffn_dim, "feed-forward width", {"type": int}),
     "title_len": (100, "title sequence length", {"type": int}),
-    "description_len": (512, "description sequence length", {"type": int}),
-    "code_len": (512, "code sequence length", {"type": int}),
-    "truncation": ("head_only", "overflow handling", {"choices": TRUNCATION_STRATEGIES}),
-    "dropout": (0.0, "dropout rate", {"type": float}),
-    "batch_size": (64, "posts per step", {"type": int}),
-    "lr": (7e-5, "initial learning rate", {"type": float}),
-    "epochs": (1, "passes over the data", {"type": int}),
+    "description_len": (EncoderConfig.max_positions, "description sequence length", {"type": int}),
+    "code_len": (EncoderConfig.max_positions, "code sequence length", {"type": int}),
+    "truncation": (ModelConfig.truncation, "overflow handling", {"choices": TRUNCATION_STRATEGIES}),
+    "dropout": (EncoderConfig.dropout_rate, "dropout rate", {"type": float}),
+    "batch_size": (TrainConfig.batch_size, "posts per step", {"type": int}),
+    "lr": (TrainConfig.initial_lr, "initial learning rate", {"type": float}),
+    "epochs": (TrainConfig.epochs, "passes over the data", {"type": int}),
     "seed": (0, "seed for init, shuffling, dropout and sampling", {"type": int}),
-    "weight_decay": (0.0, "decoupled weight decay", {"type": float}),
-    "warmup_steps": (0, "linear warmup steps", {"type": int}),
+    "weight_decay": (TrainConfig.weight_decay, "decoupled weight decay", {"type": float}),
+    "warmup_steps": (TrainConfig.warmup_steps, "linear warmup steps", {"type": int}),
     "max_grad_norm": (0.0, "global gradient norm cap, 0 disables", {"type": float}),
     "test_count": (0, "newest posts held out to test.jsonl", {"type": int}),
-    "ks": ("1,2,3,4,5", "comma list of cutoffs", {}),
+    "ks": (",".join(map(str, DEFAULT_KS)), "comma list of cutoffs", {}),
     "post_json": (None, "JSON file with title/description/code", {}),
     "title": ("", "post title", {}),
     "description": ("", "post description", {}),
@@ -158,15 +164,7 @@ def _merge_options(args: argparse.Namespace, names: Sequence[str]) -> dict:
     """Built-in defaults < config file < explicitly passed flags; then check required settings."""
     effective = {k: None if SETTINGS[k][0] is REQUIRED else SETTINGS[k][0] for k in names}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ArtifactError(f"config file not found: {path}")
-        try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ArtifactError("config file must contain a JSON object")
+        overrides = _read_json_object(args.config, "config file")
         unknown = sorted(set(overrides) - set(names))
         if unknown:
             raise ArtifactError(f"config file has unknown settings for this command: {unknown}")
@@ -207,19 +205,21 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
+def _read_json_object(path: str | Path, what: str) -> dict:
+    p = _require_file(path, what)
+    try:
+        value = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{what} {p} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ArtifactError(f"{what} {p} must contain a JSON object")
+    return value
+
+
 def _out_dir(options: dict) -> Path:
     out = Path(options["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _echo_run_config(command: str, options: dict, out: Path) -> None:
-    payload = {
-        "command": command,
-        "package_version": __version__,
-        "options": {k: options[k] for k in sorted(options)},
-    }
-    write_json(payload, out / "run_config.json")
 
 
 def _load_vocab(path: str | Path) -> TagVocabulary:
@@ -291,9 +291,9 @@ def _train_config(options: dict) -> TrainConfig:
 def _fit(options: dict, posts: list, tok: Tokenizer, vocab: TagVocabulary) -> tuple[TripletModel, list]:
     """Build the model the options describe and train it on posts; returns it and its loss trace."""
     config = _model_config(options, tok, num_tags=len(vocab))
+    train_config = _train_config(options)
     model = TripletModel(config, vocab, seed=options["seed"])
-    trace = train(model, build_dataset(posts, tok, config, vocab), _train_config(options))
-    return model, trace
+    return model, train(model, build_dataset(posts, tok, config, vocab), train_config)
 
 
 def _load_model(options: dict) -> tuple[Tokenizer, TripletModel]:
@@ -313,7 +313,6 @@ def cmd_ingest(options: dict) -> int:
     stats = ParseStats()
     count = write_corpus(decompose_all(parse_dump(dump, stats)), out / "corpus.jsonl")
     write_json(stats.to_json_dict(), out / "ingest_stats.json")
-    _echo_run_config("ingest", options, out)
     log.info("ingested %d posts from %d rows into %s", count, stats.rows_total, out)
     return 0
 
@@ -323,7 +322,8 @@ def cmd_build_vocab(options: dict) -> int:
     out = _out_dir(options)
     vocab = build_tag_vocab(posts, theta=options["theta"])
     kept = filter_posts(posts, vocab)
-    (out / "tag_vocab.json").write_text(vocab.to_json() + "\n", encoding="utf-8")
+    with artifact_path(out / "tag_vocab.json") as tmp:
+        tmp.write_text(vocab.to_json() + "\n", encoding="utf-8")
     write_corpus(kept, out / "corpus_filtered.jsonl")
     write_json(
         {
@@ -334,7 +334,6 @@ def cmd_build_vocab(options: dict) -> int:
         },
         out / "vocab_stats.json",
     )
-    _echo_run_config("build-vocab", options, out)
     log.info("kept %d tags and %d of %d posts", len(vocab), len(kept), len(posts))
     return 0
 
@@ -344,8 +343,8 @@ def cmd_tokenizer_train(options: dict) -> int:
     out = _out_dir(options)
     text = "\n".join("\n".join(getattr(p, c) for c in COMPONENT_ORDER) for p in posts)
     tok = train_tokenizer(text, vocab_size=options["vocab_size"])
-    (out / "tokenizer.json").write_text(tok.to_json() + "\n", encoding="utf-8")
-    _echo_run_config("tokenizer-train", options, out)
+    with artifact_path(out / "tokenizer.json") as tmp:
+        tmp.write_text(tok.to_json() + "\n", encoding="utf-8")
     log.info("trained tokenizer with %d merges (vocab %d)", len(tok.merges), tok.vocab_size)
     return 0
 
@@ -355,22 +354,17 @@ def cmd_train(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
     out = _out_dir(options)
-
     test_count = options["test_count"]
-    if test_count > 0:
-        train_posts, test_posts = chronological_split(posts, test_count)
-        write_corpus(test_posts, out / "test.jsonl")
-        log.info("held out %d newest posts to %s", test_count, out / "test.jsonl")
-    else:
-        train_posts = posts
-
+    train_posts, test_posts = chronological_split(posts, test_count) if test_count else (posts, [])
     train_posts = filter_posts(train_posts, vocab)
     if not train_posts:
         raise ArtifactError("no training posts left after vocabulary filtering")
     model, trace = _fit(options, train_posts, tok, vocab)
     write_loss_trace(trace, out / "loss_trace.csv")
     save_checkpoint(model, out / "model.ckpt")
-    _echo_run_config("train", options, out)
+    if test_count:
+        write_corpus(test_posts, out / "test.jsonl")
+        log.info("held out %d newest posts to %s", test_count, out / "test.jsonl")
     log.info("trained %d steps, final loss %.4f, checkpoint %s", len(trace), trace[-1][2], out / "model.ckpt")
     return 0
 
@@ -389,18 +383,13 @@ def cmd_evaluate(options: dict) -> int:
     if 5 in ks:
         missed = missed_tag_analysis(instances, [row["f1@5"] for row in report.per_instance])
         write_json({"missed_tags": [{"tag": t, "count": c} for t, c in missed]}, out / "missed_tags.json")
-    _echo_run_config("evaluate", options, out)
     print(report.format_table())
     return 0
 
 
 def cmd_predict(options: dict) -> int:
     tok, model = _load_model(options)
-    source = options
-    if options["post_json"]:
-        source = json.loads(_require_file(options["post_json"], "post file").read_text(encoding="utf-8"))
-        if not isinstance(source, dict):
-            raise ArtifactError("post file must contain a JSON object")
+    source = _read_json_object(options["post_json"], "post file") if options["post_json"] else options
     texts = {c: source.get(c, "") for c in COMPONENT_ORDER}
     wrong = [c for c in COMPONENT_ORDER if not isinstance(texts[c], str)]
     if wrong:
@@ -438,7 +427,6 @@ def cmd_ablate(options: dict) -> int:
         deltas[f"no_{excluded}"] = {k: metrics["f1"][k] - full["f1"][k] for k in full["f1"]}
     payload = {"variants": results, "f1_delta_vs_full": deltas}
     write_json(payload, out / "ablation.json")
-    _echo_run_config("ablate", options, out)
     ks = sorted(full["f1"], key=int)
     print("variant        " + "".join(f"{'dF1@' + k:>10}" for k in ks))
     for variant, d in deltas.items():
@@ -459,7 +447,6 @@ def cmd_bench(options: dict) -> int:
         seed=options["seed"],
     )
     write_json(stats.to_json_dict(), out / "latency.json")
-    _echo_run_config("bench", options, out)
     print(json.dumps(stats.to_json_dict(), indent=2))
     return 0
 
@@ -528,8 +515,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         options = _merge_options(args, COMMANDS[args.command][1])
         # Looked up per call, so a wrapped cmd_* module attribute is the one that runs.
-        return globals()["cmd_" + args.command.replace("-", "_")](options)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        status = globals()["cmd_" + args.command.replace("-", "_")](options)
+        if status == 0 and "out_dir" in options:
+            echoed = dict(sorted(options.items()))
+            run_config = {"command": args.command, "package_version": __version__, "options": echoed}
+            write_json(run_config, Path(options["out_dir"]) / "run_config.json")
+        return status
+    except (ValueError, OSError) as exc:
         # Bad inputs or artifacts (every validation error subclasses ValueError).
         _emit_error(exc)
         return 2

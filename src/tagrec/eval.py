@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import DecomposedPost
+from .ingest import DecomposedPost, artifact_path
 from .model import TripletModel, encode_post, predict_top_k
 from .tokenizer import Tokenizer
 
@@ -113,7 +113,7 @@ class MetricsReport:
         columns = ["instance"]
         for prefix in ("p", "r", "f1"):
             columns += [f"{prefix}@{k}" for k in self.ks]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with artifact_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for i, row in enumerate(self.per_instance):
@@ -362,6 +362,6 @@ def latency_bench(
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Stable two-space-indented JSON artifact."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -4,7 +4,8 @@
 never the whole file) and yields tagged questions. ``decompose`` splits a
 post body into the three model components: title, prose description, and the
 concatenated fenced code blocks. ``chronological_split`` carves off the
-newest posts as a test set.
+newest posts as a test set. ``artifact_path`` is how every artifact is
+written: whole or not at all.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import logging
 import os
 import re
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
@@ -236,19 +238,25 @@ def chronological_split(posts: Sequence, test_count: int) -> tuple[list, list]:
     return ordered[:cut], ordered[cut:]
 
 
-def write_corpus(posts: Iterable[DecomposedPost], path: str | Path) -> int:
-    """Write posts as JSONL, whole or not at all (through ``<path>.tmp``); returns the record count."""
+@contextmanager
+def artifact_path(path: str | Path) -> Iterator[Path]:
+    """Yield ``<path>.tmp`` to write; it replaces ``path`` only if the block ends without error."""
     tmp = Path(f"{path}.tmp")
-    count = 0
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for post in posts:
-                fh.write(json.dumps(post.to_json_dict(), separators=(",", ":"), ensure_ascii=False))
-                fh.write("\n")
-                count += 1
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_corpus(posts: Iterable[DecomposedPost], path: str | Path) -> int:
+    """Write posts as JSONL, whole or not at all; returns the record count."""
+    count = 0
+    with artifact_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for post in posts:
+            fh.write(json.dumps(post.to_json_dict(), separators=(",", ":"), ensure_ascii=False))
+            fh.write("\n")
+            count += 1
     return count
 
 

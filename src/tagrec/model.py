@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import INIT_STD, Encoder, EncoderConfig
-from .ingest import DecomposedPost
+from .ingest import DecomposedPost, artifact_path
 from .tokenizer import TRUNCATION_STRATEGIES, TokenSequence, Tokenizer, encode
 from .vocab import TagVocabulary
 
@@ -214,7 +214,7 @@ def save_checkpoint(model: TripletModel, path: str | Path) -> None:
         raise CheckpointError(f"checkpoints are float32-only, model is {model.dtype}")
     config_blob = json.dumps(model.config.to_json_dict(), separators=(",", ":")).encode("utf-8")
     vocab_digest = bytes.fromhex(model.vocab.content_hash())
-    with open(path, "wb") as fh:
+    with artifact_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .ingest import DecomposedPost
+from .ingest import DecomposedPost, artifact_path
 from .model import ModelConfig, TripletModel, encode_post, stack_sequences
 from .tokenizer import TokenSequence, Tokenizer
 from .vocab import TagVocabulary
@@ -225,7 +225,7 @@ def train(
 
 def write_loss_trace(trace: Sequence[tuple[int, float, float]], path: str | Path) -> None:
     """CSV with full-precision floats so identical runs diff clean."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with artifact_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "lr", "loss"])
         for step, lr, loss in trace:

@@ -6,9 +6,10 @@ function would otherwise break only a traced benchmark run.
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 from pathlib import Path
+
+from tagrec import model, tensor, train
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,8 +30,6 @@ def test_install_finds_every_name_and_uninstall_restores_it():
     finally:
         tracer.uninstall()
 
-    # The package re-exports a function named train, so import modules by path.
-    model, tensor, train = (importlib.import_module(f"tagrec.{name}") for name in ("model", "tensor", "train"))
     owners = {(target, key) for target, key, _ in patched}
     for expected in (
         (tensor, "layer_norm"),

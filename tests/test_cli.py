@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tagrec import cli
 from tagrec.cli import SETTINGS, main
 from tagrec.ingest import read_corpus
 
@@ -374,6 +375,61 @@ class TestErrorHandling:
         assert self._stderr_error(capsys)["type"] == "DumpParseError"
         assert not (out / "corpus.jsonl").exists()
         assert list(out.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "flags, error_type",
+        [(["--heads", "3"], "EncoderConfigError"), (["--batch-size", "0"], "TrainConfigError")],
+        ids=["heads", "batch_size"],
+    )
+    def test_failed_train_leaves_no_held_out_split(self, pipeline, flags, error_type, tmp_path, capsys, monkeypatch):
+        def refuse_to_encode(*args, **kwargs):
+            raise AssertionError("the corpus was encoded before every setting was checked")
+
+        monkeypatch.setattr(cli, "build_dataset", refuse_to_encode)
+        out = tmp_path / "model"
+        code = main([
+            "train", "--quiet",
+            "--corpus", str(pipeline["filtered"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--out-dir", str(out),
+            "--test-count", "3",
+            *TINY_TRAIN_FLAGS, *flags,
+        ])
+        assert code == 2
+        assert self._stderr_error(capsys)["type"] == error_type
+        assert list(out.iterdir()) == []
+
+    def test_negative_test_count_rejected(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "model"
+        code = main([
+            "train", "--quiet",
+            "--corpus", str(pipeline["filtered"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--out-dir", str(out),
+            "--test-count", "-3",
+            *TINY_TRAIN_FLAGS,
+        ])
+        assert code == 2
+        assert "test_count -3" in self._stderr_error(capsys)["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["invalid", "not_an_object"])
+    def test_bad_post_json_names_the_file(self, pipeline, text, tmp_path, capsys):
+        post = tmp_path / "post.json"
+        post.write_text(text)
+        code = main([
+            "predict", "--quiet",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--post-json", str(post),
+        ])
+        assert code == 2
+        error = self._stderr_error(capsys)
+        assert error["type"] == "ArtifactError"
+        assert str(post) in error["message"]
 
     def test_compare_rejects_non_finite_value(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
