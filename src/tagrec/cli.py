@@ -350,6 +350,9 @@ def cmd_tokenizer_train(options: dict) -> int:
 
 
 def cmd_train(options: dict) -> int:
+    held_out = Path(options["out_dir"]) / "test.jsonl"
+    if not options["test_count"] and held_out.exists():
+        raise ArtifactError(f"{held_out} is a held-out split from an earlier run; remove it or pass --test-count")
     posts = _load_corpus(options["corpus"])
     vocab = _load_vocab(options["vocab"])
     tok = _load_tokenizer(options["tokenizer"])
@@ -389,11 +392,20 @@ def cmd_evaluate(options: dict) -> int:
 
 def cmd_predict(options: dict) -> int:
     tok, model = _load_model(options)
-    source = _read_json_object(options["post_json"], "post file") if options["post_json"] else options
+    source = options
+    if options["post_json"]:
+        source = _read_json_object(options["post_json"], "post file")
+        unknown = sorted(set(source) - set(COMPONENT_ORDER))
+        if unknown:
+            raise ArtifactError(
+                f"post file {options['post_json']} has unknown fields {unknown}, expected among {list(COMPONENT_ORDER)}"
+            )
     texts = {c: source.get(c, "") for c in COMPONENT_ORDER}
     wrong = [c for c in COMPONENT_ORDER if not isinstance(texts[c], str)]
     if wrong:
         raise ArtifactError(f"post file fields must be strings: {wrong}")
+    if not any(texts[c].strip() for c in model.config.components):
+        raise ArtifactError(f"the post has no text in any component the model reads: {list(model.config.components)}")
     post = DecomposedPost(id=0, creation_date="1970-01-01T00:00:00", tags=("unused",), **texts)
     pred = model.predict(encode_post(post, tok, model.config))
     names = predict_top_k(pred, options["k"])

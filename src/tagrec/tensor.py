@@ -2,9 +2,10 @@
 
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss walks the recorded graph once in reverse
-topological order and accumulates ``grad`` arrays on every tensor that
+topological order and accumulates ``grad`` arrays on every leaf tensor that
 requested them. Fan-out sums: a tensor consumed by several downstream ops
-receives the sum of their adjoint contributions.
+receives the sum of their adjoint contributions. An op output's adjoint is
+dropped as soon as it has been passed to the op's inputs.
 
 Only the primitives the encoder stack needs are provided. Each op checks its
 operand shapes eagerly and raises ``ShapeError`` naming both shapes, so a
@@ -421,3 +422,4 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
+            node.grad = None

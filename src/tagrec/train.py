@@ -178,6 +178,17 @@ def clip_gradients(params: Sequence[tuple[str, T.Tensor]], max_norm: float) -> f
     return norm
 
 
+def accumulate_gradients(model: TripletModel, examples: Sequence[TrainExample], rng: np.random.Generator) -> float:
+    """Add the batch loss's gradient into every parameter's grad; returns the loss.
+
+    The graph is local to this call, so it is freed when the call returns.
+    """
+    batch = stack_sequences([ex.sequences for ex in examples], model.config.components)
+    loss = bce_loss(model.forward(batch, rng=rng), np.stack([ex.target for ex in examples]))
+    T.backward(loss)
+    return float(loss.data)
+
+
 def train(
     model: TripletModel,
     dataset: Sequence[TrainExample],
@@ -186,7 +197,7 @@ def train(
     """Optimize the model in place; returns the (step, lr, loss) trace.
 
     Every epoch reshuffles the dataset with the run's seeded generator; the
-    final short batch is kept. A non-finite loss aborts immediately.
+    final short batch is kept. A non-finite loss aborts before the optimizer step.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -203,17 +214,13 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             examples = [dataset[i] for i in order[start : start + config.batch_size]]
-            batch = stack_sequences([ex.sequences for ex in examples], model.config.components)
-            probs = model.forward(batch, rng=rng)
-            loss = bce_loss(probs, np.stack([ex.target for ex in examples]))
-            loss_value = float(loss.data)
             lr = lr_at(step, total_steps, config)
+            optimizer.zero_grad()
+            loss_value = accumulate_gradients(model, examples, rng)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss_value} at step {step} (lr {lr:.3e}, batch of {len(examples)})"
                 )
-            optimizer.zero_grad()
-            T.backward(loss)
             if config.max_grad_norm is not None:
                 clip_gradients(params, config.max_grad_norm)
             optimizer.step(lr)

@@ -400,6 +400,30 @@ class TestErrorHandling:
         assert self._stderr_error(capsys)["type"] == error_type
         assert list(out.iterdir()) == []
 
+    def test_train_refuses_a_stale_held_out_split(self, pipeline, tmp_path, capsys, monkeypatch):
+        def refuse_to_load(*args, **kwargs):
+            raise AssertionError("the corpus was loaded before the output directory was checked")
+
+        monkeypatch.setattr(cli, "_load_corpus", refuse_to_load)
+        out = tmp_path / "model"
+        out.mkdir()
+        stale = out / "test.jsonl"
+        stale.write_bytes(pipeline["test_corpus"].read_bytes())
+        code = main([
+            "train", "--quiet",
+            "--corpus", str(pipeline["filtered"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--out-dir", str(out),
+            *TINY_TRAIN_FLAGS,
+        ])
+        assert code == 2
+        error = self._stderr_error(capsys)
+        assert error["type"] == "ArtifactError"
+        assert str(stale) in error["message"]
+        assert list(out.iterdir()) == [stale]
+        assert stale.read_bytes() == pipeline["test_corpus"].read_bytes()
+
     def test_negative_test_count_rejected(self, pipeline, tmp_path, capsys):
         out = tmp_path / "model"
         code = main([
@@ -430,6 +454,41 @@ class TestErrorHandling:
         error = self._stderr_error(capsys)
         assert error["type"] == "ArtifactError"
         assert str(post) in error["message"]
+
+    def test_predict_rejects_unknown_post_json_field(self, pipeline, tmp_path, capsys):
+        post = tmp_path / "post.json"
+        post.write_text(json.dumps({"titel": "How do I parse JSON in python?", "code": "json.loads(s)"}))
+        code = main([
+            "predict", "--quiet",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--post-json", str(post),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.splitlines()[-1])["error"]
+        assert error["type"] == "ArtifactError"
+        assert "'titel'" in error["message"] and str(post) in error["message"]
+
+    @pytest.mark.parametrize(
+        "text", [[], ["--title", " \n", "--code", ""]], ids=["no_text", "blank_text"]
+    )
+    def test_predict_rejects_an_empty_post(self, pipeline, text, capsys):
+        code = main([
+            "predict", "--quiet",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            *text,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.splitlines()[-1])["error"]
+        assert error["type"] == "ArtifactError"
+        assert "no text" in error["message"]
 
     def test_compare_rejects_non_finite_value(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

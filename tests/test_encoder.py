@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -269,6 +270,24 @@ class TestGradients:
             assert hidden() is None
         finally:
             gc.enable()
+
+    def test_backward_frees_inner_adjoints_as_it_goes(self, rng):
+        # Only leaves keep their grad. If every inner node kept its adjoint
+        # until the loss is dropped, backward would hold about as much again
+        # as the forward graph.
+        cfg = EncoderConfig(vocab_size=261, layers=2, heads=2, model_dim=16, ffn_dim=64, max_positions=256)
+        enc = Encoder(cfg, seed=4)
+        ids, mask = _batch(rng, cfg, [256, 180], seq=256)
+        tracemalloc.start()
+        try:
+            loss = T.total(enc.forward(ids, mask))
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loss.backward()
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backward_peak < 1.5 * forward_peak, (forward_peak, backward_peak)
 
 
 def test_encode_component_is_single_row_forward():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from tagrec.train import (
     TrainConfig,
     TrainConfigError,
     TrainingDivergedError,
+    accumulate_gradients,
     bce_loss,
     build_dataset,
     clip_gradients,
@@ -215,8 +218,49 @@ class TestTrainLoop:
     def test_divergence_aborts(self):
         model, dataset = tiny_training_setup(num_posts=4, seed=3)
         model.classifier_weight.data[:] = np.nan
+        before = {name: p.data.copy() for name, p in model.parameters()}
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train(model, dataset, TrainConfig(batch_size=4, epochs=1))
+        for name, p in model.parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+    def test_no_graph_lives_into_the_next_step(self):
+        # Tensor has __slots__ and no __weakref__, so watch the logits'
+        # ndarray. Without the cyclic collector, a step's graph can die only
+        # by reference counting, once nothing in train() still names it.
+        model, dataset = tiny_training_setup(num_posts=8, seed=6)
+        forward = model.forward
+        logits: list[weakref.ref] = []
+        alive_at_next_forward = []
+
+        def watched(batch, rng=None):
+            if logits:
+                alive_at_next_forward.append(logits[-1]() is not None)
+            probs = forward(batch, rng=rng)
+            logits.append(weakref.ref(probs._parents[0].data))
+            return probs
+
+        model.forward = watched
+        gc.disable()
+        try:
+            train(model, dataset, TrainConfig(batch_size=2, initial_lr=1e-3, epochs=1, seed=0))
+        finally:
+            gc.enable()
+        assert alive_at_next_forward == [False, False, False]
+
+    def test_gradients_add_across_calls(self):
+        # Two half batches add up to twice the full batch's mean-loss gradient:
+        # nothing zeroes or rescales grad between calls.
+        model, dataset = tiny_training_setup(num_posts=8, seed=6)
+        params = list(model.parameters())
+        rng = np.random.default_rng(0)
+        accumulate_gradients(model, dataset[:4], rng)
+        accumulate_gradients(model, dataset[4:], rng)
+        halves = {name: p.grad.copy() for name, p in params}
+        Adam(params, TrainConfig()).zero_grad()
+        accumulate_gradients(model, dataset, rng)
+        for name, p in params:
+            np.testing.assert_allclose(halves[name], 2.0 * p.grad, rtol=1e-5, atol=1e-7, err_msg=name)
 
     def test_every_parameter_moves(self):
         model, dataset = tiny_training_setup(num_posts=4, seed=4)
