@@ -21,7 +21,9 @@ from . import __version__
 from .encoder import POOLING_STRATEGIES, EncoderConfig
 from .eval import (
     DEFAULT_KS,
+    EvalError,
     build_eval_instances,
+    check_ks,
     cliffs_delta,
     evaluate_corpus,
     latency_bench,
@@ -252,6 +254,12 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
+def _check_ks_fit(ks: Sequence[int], vocab: TagVocabulary) -> None:
+    """Rankings hold at most one entry per tag, so no cutoff may exceed the tag count."""
+    if max(ks) > len(vocab):
+        raise EvalError(f"cutoff {max(ks)} exceeds the {len(vocab)} tags in the vocabulary")
+
+
 def _model_config(options: dict, tok: Tokenizer, num_tags: int) -> ModelConfig:
     components = _parse_components(options["components"])
     encoders = {
@@ -373,12 +381,13 @@ def cmd_train(options: dict) -> int:
 
 
 def cmd_evaluate(options: dict) -> int:
+    ks = check_ks(_parse_ks(options["ks"]))
     tok, model = _load_model(options)
+    _check_ks_fit(ks, model.vocab)
     posts = filter_posts(_load_corpus(options["corpus"]), model.vocab)
     if not posts:
         raise ArtifactError("no evaluable posts after vocabulary filtering")
     out = _out_dir(options)
-    ks = _parse_ks(options["ks"])
     instances = build_eval_instances(model, tok, posts, top_n=max(ks))
     report = evaluate_corpus(instances, ks=ks)
     write_json(report.to_json_dict(), out / "metrics.json")
@@ -416,6 +425,7 @@ def cmd_predict(options: dict) -> int:
 
 def cmd_ablate(options: dict) -> int:
     vocab = _load_vocab(options["vocab"])
+    _check_ks_fit(DEFAULT_KS, vocab)
     tok = _load_tokenizer(options["tokenizer"])
     train_posts = filter_posts(_load_corpus(options["corpus"]), vocab)
     test_posts = filter_posts(_load_corpus(options["test_corpus"]), vocab)
@@ -428,7 +438,7 @@ def cmd_ablate(options: dict) -> int:
 
     def run_variant(variant_components: tuple[str, ...]) -> dict:
         model, _ = _fit(options | {"components": ",".join(variant_components)}, train_posts, tok, vocab)
-        instances = build_eval_instances(model, tok, test_posts, top_n=5)
+        instances = build_eval_instances(model, tok, test_posts, top_n=max(DEFAULT_KS))
         return evaluate_corpus(instances).to_json_dict()
 
     full = run_variant(components)

@@ -120,13 +120,19 @@ class MetricsReport:
                 writer.writerow([i] + [repr(row[c]) for c in columns[1:]])
 
 
+def check_ks(ks: Sequence[int]) -> tuple[int, ...]:
+    """The cutoffs as a tuple; raises EvalError unless they are distinct and >= 1."""
+    ks = tuple(ks)
+    if not ks or any(k < 1 for k in ks) or len(set(ks)) != len(ks):
+        raise EvalError(f"ks must be distinct and >= 1, got {ks}")
+    return ks
+
+
 def evaluate_corpus(instances: Sequence[EvalInstance], ks: Sequence[int] = DEFAULT_KS) -> MetricsReport:
     """Score every instance at every k and average."""
     if not instances:
         raise EvalError("no instances to evaluate")
-    ks = tuple(ks)
-    if not ks or any(k < 1 for k in ks) or len(set(ks)) != len(ks):
-        raise EvalError(f"ks must be distinct and >= 1, got {ks}")
+    ks = check_ks(ks)
     rows = []
     for inst in instances:
         row: dict[str, float] = {}
@@ -150,7 +156,7 @@ def build_eval_instances(
     model: TripletModel,
     tok: Tokenizer,
     posts: Sequence[DecomposedPost],
-    top_n: int = 5,
+    top_n: int,
 ) -> list[EvalInstance]:
     """Run the model over test posts and keep the top_n ranked names."""
     instances = []

@@ -97,8 +97,8 @@ class ModelConfig:
                 components=tuple(payload["components"]),
                 encoders=encoders,
                 num_tags=payload["num_tags"],
-                share_weights=payload.get("share_weights", False),
-                truncation=payload.get("truncation", "head_only"),
+                share_weights=payload["share_weights"],
+                truncation=payload["truncation"],
             )
         except (KeyError, TypeError) as exc:
             raise ModelConfigError(f"malformed model config: {exc}") from exc

@@ -165,11 +165,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                k, m = b.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
+            gb = np.swapaxes(a.data, -1, -2) @ g
             b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), bwd)

@@ -135,7 +135,7 @@ def train_tokenizer(corpus_text: str, vocab_size: int) -> Tokenizer:
     for chunk, count in Counter(_CHUNK_RE.findall(corpus_text)).items():
         words[tuple(chunk.encode("utf-8"))] = count
 
-    token_bytes = [bytes([i]) for i in range(BYTE_TOKENS)] + [b""] * NUM_SPECIALS
+    token_bytes = _build_token_bytes([])
 
     pair_counts: Counter = Counter()
     pair_words: dict[tuple[int, int], set[tuple[int, ...]]] = {}
@@ -146,31 +146,33 @@ def train_tokenizer(corpus_text: str, vocab_size: int) -> Tokenizer:
 
     merges: list[tuple[int, int]] = []
     while BASE_VOCAB + len(merges) < vocab_size:
-        live = {p: c for p, c in pair_counts.items() if c > 0}
-        if not live:
+        top = max(pair_counts.values(), default=0)
+        if top == 0:
             log.warning(
                 "tokenizer training exhausted pairs at vocab %d of requested %d",
                 BASE_VOCAB + len(merges), vocab_size,
             )
             break
-        best = min(live, key=lambda p: (-live[p], token_bytes[p[0]], token_bytes[p[1]]))
+        # Spent pairs keep their zero count: dict order settles exact byte ties.
+        tied = (p for p, c in pair_counts.items() if c == top)
+        best = min(tied, key=lambda p: (token_bytes[p[0]], token_bytes[p[1]]))
         new_id = BASE_VOCAB + len(merges)
         merges.append(best)
         token_bytes.append(token_bytes[best[0]] + token_bytes[best[1]])
 
-        for word in list(pair_words.get(best, ())):
+        # Merged-away words stay listed under their other pairs and are skipped
+        # here: each held a merged pair, which no later merge can rebuild.
+        for word in pair_words.pop(best):
+            if word not in words:
+                continue
             count = words.pop(word)
             for pair in zip(word, word[1:]):
                 pair_counts[pair] -= count
-                if word in pair_words.get(pair, ()):
-                    pair_words[pair].discard(word)
             merged = _merge_word(word, best, new_id)
             words[merged] = words.get(merged, 0) + count
             for pair in zip(merged, merged[1:]):
                 pair_counts[pair] += count
                 pair_words.setdefault(pair, set()).add(merged)
-        pair_counts.pop(best, None)
-        pair_words.pop(best, None)
 
     return Tokenizer(merges)
 

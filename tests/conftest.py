@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -70,6 +71,33 @@ def finite_difference_gradient(fn: Callable[[], Tensor], param: Tensor, h: float
         flat[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad.reshape(param.shape)
+
+
+def naive_bpe_merges(corpus_text: str, vocab_size: int) -> list[tuple[int, int]]:
+    """Reference BPE trainer: recount every pair in every chunk on every merge.
+
+    Picks the pair by (-count, left bytes, right bytes), merges it left to
+    right in every chunk and stops when no pair is left; the independent
+    oracle for train_tokenizer.
+    """
+    chunks = [list(chunk.encode("utf-8")) for chunk in re.findall(r"\S+|\s+", corpus_text)]
+    token_bytes = [bytes([i]) for i in range(256)] + [b""] * 4
+    merges: list[tuple[int, int]] = []
+    while len(token_bytes) < vocab_size:
+        counts = Counter(pair for chunk in chunks for pair in zip(chunk, chunk[1:]))
+        if not counts:
+            break
+        best = min(counts, key=lambda p: (-counts[p], token_bytes[p[0]], token_bytes[p[1]]))
+        new_id = len(token_bytes)
+        merges.append(best)
+        token_bytes.append(token_bytes[best[0]] + token_bytes[best[1]])
+        for chunk in chunks:
+            i = 0
+            while i + 1 < len(chunk):
+                if (chunk[i], chunk[i + 1]) == best:
+                    chunk[i : i + 2] = [new_id]
+                i += 1
+    return merges
 
 
 def encode_component(encoder: Encoder, seq: TokenSequence) -> np.ndarray:

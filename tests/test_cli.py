@@ -278,6 +278,30 @@ class TestAblate:
         stdout = capsys.readouterr().out
         assert "no_title" in stdout and "dF1@5" in stdout
 
+    def test_vocabulary_smaller_than_the_cutoffs_rejected_before_training(self, pipeline, tmp_path, capsys, monkeypatch):
+        def refuse_to_fit(*args, **kwargs):
+            raise AssertionError("a variant was trained before the cutoffs were checked")
+
+        monkeypatch.setattr(cli, "_fit", refuse_to_fit)
+        payload = json.loads(pipeline["vocab"].read_text())
+        payload["tags"] = payload["tags"][:4]
+        vocab = tmp_path / "tag_vocab.json"
+        vocab.write_text(json.dumps(payload))
+        code = main([
+            "ablate", "--quiet",
+            "--corpus", str(pipeline["filtered"]),
+            "--test-corpus", str(pipeline["test_corpus"]),
+            "--vocab", str(vocab),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--out-dir", str(tmp_path / "ablation"),
+            "--components", "title,code",
+            *TINY_TRAIN_FLAGS,
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["type"] == "EvalError"
+        assert "cutoff 5" in error["message"] and "4 tags" in error["message"]
+
     def test_single_component_rejected(self, pipeline, tmp_path):
         code = main([
             "ablate", "--quiet",
@@ -423,6 +447,36 @@ class TestErrorHandling:
         assert str(stale) in error["message"]
         assert list(out.iterdir()) == [stale]
         assert stale.read_bytes() == pipeline["test_corpus"].read_bytes()
+
+    def _evaluate_without_scoring(self, pipeline, ks: str, out: Path, monkeypatch) -> int:
+        def refuse_to_score(*args, **kwargs):
+            raise AssertionError("the posts were scored before the cutoffs were checked")
+
+        monkeypatch.setattr(cli, "build_eval_instances", refuse_to_score)
+        return main([
+            "evaluate", "--quiet",
+            "--corpus", str(pipeline["test_corpus"]),
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--vocab", str(pipeline["vocab"]),
+            "--tokenizer", str(pipeline["tokenizer"]),
+            "--out-dir", str(out),
+            "--ks", ks,
+        ])
+
+    @pytest.mark.parametrize("ks", ["1,1", "0,1"])
+    def test_evaluate_rejects_bad_cutoffs_before_scoring(self, pipeline, ks, tmp_path, capsys, monkeypatch):
+        assert self._evaluate_without_scoring(pipeline, ks, tmp_path / "eval", monkeypatch) == 2
+        error = self._stderr_error(capsys)
+        assert error["type"] == "EvalError"
+        assert "distinct and >= 1" in error["message"]
+
+    def test_evaluate_rejects_a_cutoff_above_the_tag_count(self, pipeline, tmp_path, capsys, monkeypatch):
+        num_tags = len(json.loads(pipeline["vocab"].read_text())["tags"])
+        code = self._evaluate_without_scoring(pipeline, f"1,{num_tags + 1}", tmp_path / "eval", monkeypatch)
+        assert code == 2
+        error = self._stderr_error(capsys)
+        assert error["type"] == "EvalError"
+        assert f"cutoff {num_tags + 1}" in error["message"] and f"{num_tags} tags" in error["message"]
 
     def test_negative_test_count_rejected(self, pipeline, tmp_path, capsys):
         out = tmp_path / "model"

@@ -198,6 +198,14 @@ class TestModelConfig:
         with pytest.raises(ModelConfigError, match="malformed"):
             ModelConfig.from_json_dict({"components": ["title"]})
 
+    @pytest.mark.parametrize("key", ["share_weights", "truncation"])
+    def test_json_dict_missing_a_written_key_is_malformed(self, key):
+        # Every checkpoint writes both keys, so a missing one is damage, not a default.
+        payload = tiny_model_config(40, 3).to_json_dict()
+        del payload[key]
+        with pytest.raises(ModelConfigError, match="malformed"):
+            ModelConfig.from_json_dict(payload)
+
 
 class TestEncodePost:
     def test_lengths_and_layout_per_component(self):

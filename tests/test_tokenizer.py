@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_bpe_merges
 from tagrec.tokenizer import (
     BASE_VOCAB,
     CLS_ID,
@@ -44,6 +45,16 @@ class TestTraining:
         # 'zz' and 'aa' both occur twice; (a, a) sorts first.
         tok = train_tokenizer("zz aa zz aa", 261)
         assert tok.merges == [(97, 97)]
+
+    def test_tie_heavy_corpus_matches_the_naive_recount(self):
+        # Most picks are count ties. (aa, c) beats (b, c) because b"aa" < b"b",
+        # though id 98 < 260: ties break on bytes, not ids.
+        corpus = "aac bc aab abb baa bba\n\naac bc aab abb baa bba"
+        merges = train_tokenizer(corpus, 290).merges
+        assert merges == naive_bpe_merges(corpus, 290)
+        assert merges == [
+            (97, 97), (98, 98), (97, 261), (260, 98), (260, 99), (98, 260), (98, 99), (261, 97), (10, 10),
+        ]
 
     def test_merges_never_cross_whitespace(self):
         # 'a b' repeated: the only adjacent pair inside any chunk is none,
@@ -165,6 +176,18 @@ class TestSerialization:
             Tokenizer.from_json('{"format_version":1,"vocab_size":261,"merges":[[256,97]]}')
         with pytest.raises(TokenizerError, match="malformed merge"):
             Tokenizer.from_json('{"format_version":1,"vocab_size":261,"merges":[[true,97]]}')
+
+
+# Few distinct letters, some repeated, plus whitespace: most picks are ties.
+_TIE_HEAVY_TEXT = st.sampled_from(["aab  ", "ab\n", "aabb ", "abc \n"]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=120).map("".join)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIE_HEAVY_TEXT, st.integers(min_value=261, max_value=300))
+def test_training_matches_the_naive_recount(text, vocab_size):
+    assert train_tokenizer(text, vocab_size).merges == naive_bpe_merges(text, vocab_size)
 
 
 @settings(max_examples=60, deadline=None)
